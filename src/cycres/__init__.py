@@ -11,6 +11,7 @@ from .dynamics import (
     char_poly,
     is_ergodic,
     periodic_point_count,
+    periodic_point_counts,
     spectrum_determined,
     zeta_series,
 )

@@ -12,11 +12,16 @@ import sys
 from fractions import Fraction
 
 from .config import Config
-from .dynamics import IntegerMatrix, periodic_point_count, zeta_series
+from .dynamics import IntegerMatrix, periodic_point_counts
 from .equivalence import equivalent_family, real_equivalent_family
 from .errors import CycResError
 from .gaussian import GaussianRational
-from .genfun import abs_generating_function, generating_function, series_of
+from .genfun import (
+    abs_generating_function,
+    exp_neg_weighted_series_exact,
+    generating_function,
+    series_of,
+)
 from .groupring import BinomialProduct, FgAbelianGroup, match_factorizations
 from .polycore import Polynomial, format_poly, parse
 from .reconstruct import (
@@ -58,7 +63,10 @@ def _parse_rational_values(text: str) -> list[GaussianRational]:
         chunk = chunk.strip()
         if not chunk:
             raise _UsageError("empty value in --values")
-        out.append(GaussianRational(Fraction(chunk)))
+        try:
+            out.append(GaussianRational(Fraction(chunk)))
+        except ZeroDivisionError:
+            raise _UsageError(f"zero denominator in --values: {chunk}") from None
     return out
 
 
@@ -226,12 +234,11 @@ def _cmd_reconstruct(args, cfg: Config) -> dict:
 def _cmd_zeta(args) -> dict:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         matrix = IntegerMatrix.from_json(json.load(fh))
-    series = zeta_series(matrix, args.order)
-    counts = [str(periodic_point_count(matrix, m)) for m in range(1, args.order + 1)]
+    counts = periodic_point_counts(matrix, args.order)
     return {
         "order": args.order,
-        "counts": counts,
-        "coefficients": _render_series(series.coeffs),
+        "counts": [str(c) for c in counts],
+        "coefficients": _render_series(exp_neg_weighted_series_exact(counts, args.order)),
     }
 
 
@@ -246,6 +253,8 @@ def _cmd_grcheck(args) -> dict:
 
 
 def _cmd_genfun(args) -> dict:
+    if args.order is not None and args.order < 0:
+        raise _UsageError("--order must be >= 0")
     f = parse(args.poly)
     rep = abs_generating_function(f) if args.use_abs else generating_function(f)
     payload = {"rep": rep.to_json()}

@@ -1,42 +1,32 @@
-"""Runtime configuration: tolerances, bounds and seeds.
+"""Runtime configuration: Newton restarts and the default seed.
 
 A config file is plain ``key=value`` lines (``#`` comments allowed); flags
-always override file values.  Round-trips losslessly through dump/load.
+always override file values, and an unknown key is an error.  Round-trips
+losslessly through dump/load.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class Config:
-    root_tol: float = 1e-12
-    series_tol: float = 1e-7
-    subset_tol: float = 1e-8
-    unity_n_max: int = 64
-    denominator_bound: int = 10**6
     newton_restarts: int = 16
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "seed" and value <= 0:
-                raise ValueError(f"config field {f.name} must be positive")
+        if self.newton_restarts <= 0:
+            raise ValueError("config field newton_restarts must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
     def dump(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            lines.append(f"{f.name}={value!r}" if isinstance(value, float) else f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
 
     @staticmethod
     def load(path: str) -> "Config":
         values: dict = {}
-        types = {f.name: f.type for f in fields(Config)}
+        names = {f.name for f in fields(Config)}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
@@ -44,12 +34,7 @@ class Config:
                     continue
                 key, sep, value = line.partition("=")
                 key = key.strip()
-                if not sep or key not in types:
+                if not sep or key not in names:
                     raise ValueError(f"{path}:{lineno}: bad config line {raw.strip()!r}")
-                caster = float if types[key] in ("float", float) else int
-                values[key] = caster(value.strip())
+                values[key] = int(value.strip())
         return Config(**values)
-
-    def with_overrides(self, **kwargs) -> "Config":
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs) if kwargs else self

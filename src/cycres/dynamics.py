@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DegreeGuardError, PreconditionError
-from .gaussian import GaussianRational
+from .errors import PreconditionError
+from .equivalence import root_subset_products
 from .genfun import PowerSeries, exp_neg_weighted_series_exact
-from .polycore import Polynomial, has_root_of_unity, roots_numeric
+from .polycore import Polynomial, has_root_of_unity
 from .resultants import _det_bareiss_int as _det_int
-
-SUBSET_SCAN_LIMIT = 20
 
 
 class SpectrumToleranceWarning(UserWarning):
@@ -89,35 +86,23 @@ def _pow(a, m: int):
 def char_poly(a: IntegerMatrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - A), exactly.
 
-    Faddeev-LeVerrier recursion over rationals; every coefficient comes out
-    an integer and that is asserted.
+    Faddeev-LeVerrier recursion over the integers: every coefficient is an
+    integer, so each trace divides exactly, and that is asserted.
     """
     n = a.n
-    work = [[Fraction(x) for x in row] for row in a.entries]
-    coeffs = [Fraction(1)]  # descending: x^n first
-    m_mat = [[Fraction(0)] * n for _ in range(n)]
+    work = [list(row) for row in a.entries]
+    coeffs = [1]  # descending: x^n first
+    m_mat = _identity(n)
     for k in range(1, n + 1):
-        if k == 1:
-            m_mat = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        else:
-            am = [
-                [sum(work[i][t] * m_mat[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-            for i in range(n):
-                am[i][i] += coeffs[-1]
-            m_mat = am
-        am = [
-            [sum(work[i][t] * m_mat[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        ck = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-    ascending = list(reversed(coeffs))
-    for c in ascending:
-        if c.denominator != 1:
+        am = _mul(work, m_mat)
+        trace = sum(am[i][i] for i in range(n))
+        if trace % k:
             raise AssertionError("characteristic polynomial must be integral")
-    return Polynomial([int(c) for c in ascending])
+        coeffs.append(-trace // k)
+        for i in range(n):
+            am[i][i] += coeffs[-1]
+        m_mat = am
+    return Polynomial(list(reversed(coeffs)))
 
 
 def is_ergodic(a: IntegerMatrix) -> bool:
@@ -127,26 +112,44 @@ def is_ergodic(a: IntegerMatrix) -> bool:
     return not has_root_of_unity(char_poly(a))
 
 
+def _require_ergodic(a: IntegerMatrix):
+    if not is_ergodic(a):
+        raise PreconditionError("matrix has a root-of-unity eigenvalue")
+
+
+def _fixed_points(power) -> int:
+    """|det(A^m - I)| from the power A^m."""
+    shifted = [
+        [x - 1 if i == j else x for j, x in enumerate(row)]
+        for i, row in enumerate(power)
+    ]
+    return abs(_det_int(shifted))
+
+
 def periodic_point_count(a: IntegerMatrix, m: int) -> int:
     """|det(A^m - I)|: the number of points fixed by the m-th iterate."""
     if m < 1:
         raise ValueError("iterate index must be >= 1")
-    if not is_ergodic(a):
-        raise PreconditionError("matrix has a root-of-unity eigenvalue")
-    power = _pow([list(row) for row in a.entries], m)
-    for i in range(a.n):
-        power[i][i] -= 1
-    return abs(_det_int(power))
+    _require_ergodic(a)
+    return _fixed_points(_pow([list(row) for row in a.entries], m))
+
+
+def periodic_point_counts(a: IntegerMatrix, order: int) -> list[int]:
+    """Counts for m = 1..order: ergodicity is checked once and A^m is
+    stepped as A^(m-1) * A."""
+    _require_ergodic(a)
+    work = [list(row) for row in a.entries]
+    power = _identity(a.n)
+    counts = []
+    for _ in range(order):
+        power = _mul(power, work)
+        counts.append(_fixed_points(power))
+    return counts
 
 
 def zeta_series(a: IntegerMatrix, order: int) -> PowerSeries:
     """Truncated series of exp(-sum_m count_m z^m / m) with exact counts."""
-    if not is_ergodic(a):
-        raise PreconditionError("matrix has a root-of-unity eigenvalue")
-    counts = [
-        GaussianRational(periodic_point_count(a, m)) for m in range(1, order + 1)
-    ]
-    exact = exp_neg_weighted_series_exact(counts, order)
+    exact = exp_neg_weighted_series_exact(periodic_point_counts(a, order), order)
     return PowerSeries(tuple(complex(b) for b in exact))
 
 
@@ -158,18 +161,8 @@ def spectrum_determined(a: IntegerMatrix, tol: float = 1e-8) -> bool:
     on numeric eigenvalues; products inside 10*tol of the threshold emit a
     SpectrumToleranceWarning since the verdict is then numerically fragile.
     """
-    if not is_ergodic(a):
-        raise PreconditionError("matrix has a root-of-unity eigenvalue")
-    d = a.n
-    if d > SUBSET_SCAN_LIMIT:
-        raise DegreeGuardError(
-            "subset scan over eigenvalues is exponential", dimension=d
-        )
-    eigs = roots_numeric(char_poly(a))
-    products = [1 + 0j]
-    for lam in eigs:
-        products.extend([p * lam for p in products])
-    for p in products[1:]:
+    _require_ergodic(a)
+    for p in root_subset_products(char_poly(a)):
         gap = min(abs(p - 1), abs(p + 1))
         if gap <= tol:
             return False

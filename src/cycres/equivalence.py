@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DegreeGuardError,
@@ -24,12 +23,17 @@ from .errors import (
     ZeroResultantError,
 )
 from .gaussian import GaussianRational
-from .polycore import Polynomial, has_root_of_unity, roots_numeric, try_exact_roots
+from .polycore import (
+    Polynomial,
+    has_root_of_unity,
+    rationalize,
+    roots_numeric,
+    try_exact_roots,
+)
 from .resultants import sequence
 
 DEFAULT_CHECK_LENGTH = 10
 SUBSET_SCAN_LIMIT = 20
-RATIONALIZE_DENOMINATOR_BOUND = 10**6
 
 
 def generic_family_size(d: int) -> int:
@@ -78,10 +82,6 @@ def _sorted_unique(pairs):
     return out
 
 
-def _root_label(root) -> str:
-    return str(root)
-
-
 def _split_base(g: Polynomial, check_length: int):
     """Common preconditions; returns (l2, h, base sequence)."""
     if g.is_zero():
@@ -120,18 +120,6 @@ def _member_float(lead: complex, keep, flip, l1: int, sign: int) -> list[complex
         coeffs = new
     coeffs = [0j] * l1 + coeffs
     return [sign * c for c in coeffs]
-
-
-def _rationalize_float_poly(coeffs: list[complex]) -> Polynomial:
-    out = []
-    for c in coeffs:
-        out.append(
-            GaussianRational(
-                Fraction(c.real).limit_denominator(RATIONALIZE_DENOMINATOR_BOUND),
-                Fraction(c.imag).limit_denominator(RATIONALIZE_DENOMINATOR_BOUND),
-            )
-        )
-    return Polynomial(out)
 
 
 def equivalent_member(
@@ -192,12 +180,12 @@ def equivalent_family(
                 flip = [numeric_roots[i] for i in subset]
                 keep = [numeric_roots[i] for i in range(d) if i not in chosen]
                 floats = _member_float(complex(h.leading), keep, flip, l1, sign)
-                member = _rationalize_float_poly(floats)
+                member = Polynomial([rationalize(c) for c in floats])
                 if sequence(member, check_length).values != base_seq.values:
                     unverified.append(tuple(floats))
                     continue
             record = SubsetRecord(
-                reversed_roots=tuple(_root_label(r) for r in flip), sign=sign
+                reversed_roots=tuple(str(r) for r in flip), sign=sign
             )
             candidates.append((member, record))
 
@@ -338,7 +326,7 @@ def real_equivalent_family(
                     continue
             else:
                 floats = _member_float(lead, keep, flip, l2, sign)
-                member = _rationalize_float_poly(floats)
+                member = Polynomial([rationalize(c) for c in floats])
                 if not member.is_real():
                     member = Polynomial([GaussianRational(c.re) for c in member.coeffs])
                 values = sequence(member, check_length).values
@@ -346,7 +334,7 @@ def real_equivalent_family(
                     unverified.append(tuple(floats))
                     continue
             record = SubsetRecord(
-                reversed_roots=tuple(_root_label(r) for r in flip), sign=sign
+                reversed_roots=tuple(str(r) for r in flip), sign=sign
             )
             candidates.append((member, record))
 
@@ -420,19 +408,23 @@ def reciprocal_uniqueness_check(
     )
 
 
-def monic_degenerate(g: Polynomial, tol: float = 1e-8) -> bool:
-    """Whether some nonempty subset of g's roots has product within tol of 1.
-
-    This is the degeneracy that breaks monic uniqueness; exhaustive over all
-    2^d - 1 subsets, numeric roots, d <= 20.
-    """
+def root_subset_products(g: Polynomial) -> list[complex]:
+    """Products of the numeric roots of g over all 2^d - 1 nonempty subsets
+    of the root multiset, d <= SUBSET_SCAN_LIMIT."""
     if g.is_zero():
         raise ZeroPolynomialError("zero polynomial")
     d = g.degree
     if d > SUBSET_SCAN_LIMIT:
         raise DegreeGuardError("root-subset scan is exponential", degree=d)
-    roots = roots_numeric(g)
     products = [1 + 0j]
-    for alpha in roots:
+    for alpha in roots_numeric(g):
         products.extend([p * alpha for p in products])
-    return any(abs(p - 1) <= tol for p in products[1:])
+    return products[1:]
+
+
+def monic_degenerate(g: Polynomial, tol: float = 1e-8) -> bool:
+    """Whether some nonempty subset of g's roots has product within tol of 1.
+
+    This is the degeneracy that breaks monic uniqueness.
+    """
+    return any(abs(p - 1) <= tol for p in root_subset_products(g))

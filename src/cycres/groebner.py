@@ -10,11 +10,10 @@ used to prune pairs.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import UnderdeterminedError
 from .gaussian import GaussianRational
-from .polycore import Polynomial, poly_gcd, roots_numeric
+from .polycore import Polynomial, poly_gcd, rationalize, roots_numeric
 
 
 class MultiPoly:
@@ -283,14 +282,12 @@ def is_unit_ideal(basis: list[MultiPoly]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def exact_univariate_roots(
-    p: Polynomial, max_denominator: int = 10**6
-) -> list[GaussianRational]:
+def exact_univariate_roots(p: Polynomial) -> list[GaussianRational]:
     """All Gaussian-rational roots of an exact univariate polynomial.
 
-    Numeric roots are rationalized by continued fractions and kept only when
-    they satisfy the polynomial exactly, so no spurious root survives and
-    only roots with denominator beyond the bound can be missed.
+    Numeric roots are rationalized and kept only when they satisfy the
+    polynomial exactly, so no spurious root survives and only roots with
+    denominator beyond the rationalization bound can be missed.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -298,10 +295,7 @@ def exact_univariate_roots(
         return []
     found: list[GaussianRational] = []
     for z in roots_numeric(p):
-        cand = GaussianRational(
-            Fraction(z.real).limit_denominator(max_denominator),
-            Fraction(z.imag).limit_denominator(max_denominator),
-        )
+        cand = rationalize(z)
         if p.evaluate(cand).is_zero() and cand not in found:
             found.append(cand)
     found.sort(key=lambda g: g.sort_key())

@@ -204,7 +204,9 @@ class BinomialProduct:
 
     @staticmethod
     def from_json(group: FgAbelianGroup, data: dict) -> "BinomialProduct":
-        unit = data["unit"]
+        unit = data.get("unit") if isinstance(data, dict) else None
+        if not (isinstance(unit, dict) and {"coeff", "elt"} <= unit.keys() and "factors" in data):
+            raise ValueError('product JSON needs "factors" and a "unit" with "coeff" and "elt"')
         return BinomialProduct(
             group=group,
             unit_coeff=GaussianRational.from_quad(unit["coeff"]),

@@ -3,7 +3,7 @@
 Coefficients are stored in ascending degree order (index i holds the
 coefficient of x^i) with the last entry nonzero; the zero polynomial is the
 empty tuple.  All arithmetic is exact.  Floating point enters only through
-:func:`roots_numeric`.
+:func:`roots_numeric` and comes back only through :func:`rationalize`.
 """
 from __future__ import annotations
 
@@ -330,21 +330,13 @@ def _has_root_of_unity_exact(f: Polynomial) -> bool:
     return False
 
 
-def _has_root_of_unity_numeric(f: Polynomial, n_max: int, tol: float) -> bool:
-    for root in roots_numeric(f):
-        if abs(abs(root) - 1.0) > tol:
-            continue
-        if min(abs(root**n - 1.0) for n in range(1, n_max + 1)) <= tol:
-            return True
-    return False
+def has_root_of_unity(f: Polynomial) -> bool:
+    """Whether some root of f is a root of unity, decided exactly.
 
-
-def has_root_of_unity(f: Polynomial, n_max: int = 64, tol: float = 1e-9) -> bool:
-    """Whether some root of f is a root of unity.
-
-    Rational coefficients get the exact cyclotomic-divisibility test;
-    otherwise a root counts when it sits on the unit circle and some power up
-    to n_max returns to 1, both within tol.
+    Rational coefficients get the cyclotomic-divisibility test.  Otherwise
+    the same test runs on f * conj(f), which has rational coefficients and
+    shares a root of unity with f exactly when f has one, because the
+    conjugate of a root of unity is its inverse and again a root of unity.
     """
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial")
@@ -352,7 +344,7 @@ def has_root_of_unity(f: Polynomial, n_max: int = 64, tol: float = 1e-9) -> bool
         return False
     if f.is_real():
         return _has_root_of_unity_exact(f)
-    return _has_root_of_unity_numeric(f, n_max, tol)
+    return _has_root_of_unity_exact(f * Polynomial([c.conjugate() for c in f.coeffs]))
 
 
 # ---------------------------------------------------------------------------
@@ -460,27 +452,34 @@ def _aberth(coeffs: list[complex], tol: float) -> list[complex]:
     )
 
 
-def try_exact_roots(
-    f: Polynomial, max_denominator: int = 10**6
-) -> list[GaussianRational] | None:
+RATIONALIZE_DENOMINATOR_BOUND = 10**6
+
+
+def rationalize(
+    z: complex, bound: int = RATIONALIZE_DENOMINATOR_BOUND
+) -> GaussianRational:
+    """Closest Gaussian rational by continued fractions, each component's
+    denominator at most bound."""
+    return GaussianRational(
+        Fraction(z.real).limit_denominator(bound),
+        Fraction(z.imag).limit_denominator(bound),
+    )
+
+
+def try_exact_roots(f: Polynomial) -> list[GaussianRational] | None:
     """Roots with multiplicity as exact Gaussian rationals, or None.
 
-    Numeric roots of each square-free factor are rationalized by continued
-    fractions (denominator bound per component) and accepted only when the
-    rebuilt product of linear factors reproduces the factor exactly.
+    Numeric roots of each square-free factor are rationalized and accepted
+    only when the rebuilt product of linear factors reproduces the factor
+    exactly.
     """
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial")
     out: list[GaussianRational] = []
     for factor, mult in square_free_decomposition(f):
-        candidates = []
-        for z in _aberth([complex(c) for c in factor.coeffs], 1e-12):
-            candidates.append(
-                GaussianRational(
-                    Fraction(z.real).limit_denominator(max_denominator),
-                    Fraction(z.imag).limit_denominator(max_denominator),
-                )
-            )
+        candidates = [
+            rationalize(z) for z in _aberth([complex(c) for c in factor.coeffs], 1e-12)
+        ]
         if Polynomial.from_roots(candidates) != factor:
             return None
         for root in candidates:

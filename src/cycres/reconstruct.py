@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     ConvergenceError,
@@ -36,12 +35,17 @@ from .groebner import (
     solve_triangular,
     sym_det,
 )
-from .polycore import Polynomial, _aberth, has_root_of_unity
+from .polycore import (
+    RATIONALIZE_DENOMINATOR_BOUND,
+    Polynomial,
+    _aberth,
+    has_root_of_unity,
+    rationalize,
+)
 from .resultants import ResultantSequence, sequence
 
 GROEBNER_DEGREE_LIMIT = 3
 NEWTON_MAX_ITER = 60
-RATIONALIZE_DENOMINATOR_BOUND = 10**6
 DEFAULT_RESTARTS = 16
 DEFAULT_SEED = 0
 
@@ -385,7 +389,6 @@ def invert_newton(
             raise PreconditionError("numeric route expects real resultant values")
     targets = [float(v.re) for v in vals]
     weights = [max(1.0, abs(t)) for t in targets]
-    scale = 1.0  # residuals are already relative, component by component
     k = d if monic else d + 1
     rng = random.Random(seed)
 
@@ -441,20 +444,15 @@ def invert_newton(
                 damping /= 2
             if not improved:
                 break
-            if norm <= 1e-9 * scale:
+            if norm <= 1e-9:
                 break
-        if norm <= 1e-7 * scale:
+        if norm <= 1e-7:
             coeffs = assemble(vec)
             # coarse-to-fine rationalization: exact resequencing is the gate,
             # and a coarse bound absorbs the slow convergence at double roots
             # (reciprocal inputs make the system Jacobian singular)
             for bound in (10, 1000, RATIONALIZE_DENOMINATOR_BOUND):
-                exact = Polynomial(
-                    [
-                        GaussianRational(Fraction(c).limit_denominator(bound))
-                        for c in coeffs
-                    ]
-                )
+                exact = Polynomial([rationalize(c, bound) for c in coeffs])
                 if (
                     exact.degree == d
                     and tuple(sequence(exact, len(vals)).values) == tuple(vals)

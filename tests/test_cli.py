@@ -75,6 +75,17 @@ class TestEquiv:
         assert data["code"] == "root_of_unity"
         assert "message" in data and "context" in data
 
+    def test_gaussian_root_of_unity_is_domain_error(self):
+        # (x^17 - i)/(x - i): every root is a primitive 68th root of unity
+        from cycres.gaussian import GaussianRational
+        from cycres.polycore import Polynomial, format_poly
+
+        i = Polynomial.constant(GaussianRational(0, 1))
+        f = (Polynomial.x(17) - i).exact_div(Polynomial.x() - i)
+        result = run_cli("equiv", "--poly", format_poly(f))
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["code"] == "root_of_unity"
+
 
 class TestReconstruct:
     def test_closed_quadratic(self):
@@ -115,6 +126,11 @@ class TestReconstruct:
         )
         assert result.returncode == 2
         assert json.loads(result.stdout)["code"] == "no_solution"
+
+    def test_zero_denominator_is_usage_error(self):
+        result = run_cli("reconstruct", "--degree", "1", "--values=1/0,2")
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error:")
 
 
 class TestZeta:
@@ -175,6 +191,13 @@ class TestGrcheck:
         assert result.returncode == 2
         assert json.loads(result.stdout)["code"] == "finite_order"
 
+    def test_missing_fields_is_invalid_input(self):
+        result = run_cli(
+            "grcheck", "--group", "rank=1;torsion=", "--left", "{}", "--right", "{}"
+        )
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["code"] == "invalid_input"
+
     def test_file_input(self, tmp_path):
         left = {"unit": {"coeff": ["1", "1", "0", "1"], "elt": [0]},
                 "factors": [[[0], [1]]]}
@@ -200,6 +223,11 @@ class TestGenfun:
         result = run_cli("genfun", "--poly", "2*x^2-3*x-2", "--abs")
         data = json.loads(result.stdout)
         assert data["rep"]["exponent"] == -1
+
+    def test_negative_order_is_usage_error(self):
+        result = run_cli("genfun", "--poly", "x-2", "--order", "-1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error:")
 
 
 class TestConjecture:
@@ -251,7 +279,7 @@ class TestPlumbing:
     def test_config_roundtrip(self, tmp_path):
         from cycres.config import Config
 
-        cfg = Config(series_tol=1e-6, seed=42, newton_restarts=3)
+        cfg = Config(seed=42, newton_restarts=3)
         path = tmp_path / "round.cfg"
         path.write_text(cfg.dump())
         assert Config.load(str(path)) == cfg
@@ -260,7 +288,14 @@ class TestPlumbing:
         from cycres.config import Config
 
         with pytest.raises(ValueError):
-            Config(root_tol=0.0)
+            Config(newton_restarts=0)
+
+    def test_config_rejects_removed_key(self, tmp_path):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("root_tol=1e-30\n")
+        result = run_cli("--config", str(cfg), "seq", "--poly", "x-2", "--n", "2")
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["code"] == "invalid_input"
 
     def test_main_callable_directly(self, capsys):
         code = main(["seq", "--poly", "x-2", "--n", "3"])

@@ -8,8 +8,6 @@ from cycres.errors import PolyParseError, ZeroPolynomialError
 from cycres.gaussian import GaussianRational as G
 from cycres.polycore import (
     Polynomial,
-    _has_root_of_unity_exact,
-    _has_root_of_unity_numeric,
     cyclotomic,
     format_poly,
     has_root_of_unity,
@@ -154,23 +152,51 @@ class TestRootOfUnity:
         assert (f % cyclotomic(3)).is_zero()
         assert has_root_of_unity(f)
 
-    def test_numeric_path_on_complex_coefficients(self):
+    def test_gaussian_coefficients(self):
         f = Polynomial.from_roots([G(0, 1), G(3)])  # i is a 4th root of unity
         assert has_root_of_unity(f)
         g = Polynomial.from_roots([G(2, 1)])
         assert not has_root_of_unity(g)
 
-    def test_exact_and_numeric_paths_agree(self):
+    def test_primitive_68th_roots_with_gaussian_coefficients(self):
+        # (x^17 - i)/(x - i): every root is a primitive 68th root of unity
+        i = Polynomial.constant(G(0, 1))
+        f = (Polynomial.x(17) - i).exact_div(Polynomial.x() - i)
+        assert f.degree == 16
+        assert has_root_of_unity(f)
+
+    def test_agrees_with_cyclotomic_gcd_oracle(self):
+        # Independent oracle: gcd(p, x^k - 1) is nonconstant for some k with
+        # phi(k) <= 2 deg p.  A root of unity of order k has degree at least
+        # phi(k)/2 over Q(i), and phi(k)^2 >= k/2 bounds the k to try.
+        def phi(k):
+            return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+        def oracle(p):
+            d = 2 * p.degree
+            return any(
+                poly_gcd(p, Polynomial.x(k) - 1).degree > 0
+                for k in range(1, 2 * d * d + 1)
+                if phi(k) <= d
+            )
+
         rng = random.Random(7)
-        checked = 0
-        while checked < 200:
+        polys = []
+        while len(polys) < 200:
             p = random_rational_poly(rng, 6)
-            if p.degree < 1:
-                continue
-            exact = _has_root_of_unity_exact(p)
-            numeric = _has_root_of_unity_numeric(p, 64, 1e-9)
-            assert exact == numeric, format_poly(p)
-            checked += 1
+            if p.degree >= 1:
+                polys.append(p)
+        planted = [
+            parse(t) for t in ("x-(0+1i)", "x^2-(0+1i)", "x^2+1", "x+1", "x^3+(0+1i)")
+        ]
+        for _ in range(40):
+            size = rng.randint(1, 3)
+            low = [G(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(size)]
+            p = Polynomial(low + [G(rng.randint(1, 3), rng.randint(-3, 3))])
+            polys.append(p)
+            polys.append(p * rng.choice(planted))
+        for p in polys:
+            assert has_root_of_unity(p) == oracle(p), format_poly(p)
 
 
 class TestRoots:

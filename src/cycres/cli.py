@@ -232,6 +232,8 @@ def _cmd_reconstruct(args, cfg: Config) -> dict:
 
 
 def _cmd_zeta(args) -> dict:
+    if args.order < 0:
+        raise _UsageError("--order must be >= 0")
     with open(args.matrix, "r", encoding="utf-8") as fh:
         matrix = IntegerMatrix.from_json(json.load(fh))
     counts = periodic_point_counts(matrix, args.order)
@@ -264,6 +266,8 @@ def _cmd_genfun(args) -> dict:
 
 
 def _cmd_conjecture(args, cfg: Config) -> dict:
+    if args.trials < 0:
+        raise _UsageError("--trials must be >= 0")
     if args.seed is not None:
         seed = args.seed
     elif "CYCRES_SEED" in os.environ:

@@ -3,8 +3,9 @@
 An integer matrix A acts on the d-torus by multiplication mod 1.  When no
 eigenvalue is a root of unity (the ergodic case) the number of points fixed
 by the m-th iterate is |det(A^m - I)|, which is also the absolute m-th cyclic
-resultant of the characteristic polynomial.  Everything except the
-spectrum-recovery test runs in exact integer arithmetic.
+resultant of the characteristic polynomial, so the counts are read from
+:func:`cycres.resultants.sequence`.  Everything except the spectrum-recovery
+test runs in exact integer arithmetic.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .errors import PreconditionError
 from .equivalence import root_subset_products
 from .genfun import PowerSeries, exp_neg_weighted_series_exact
 from .polycore import Polynomial, has_root_of_unity
-from .resultants import _det_bareiss_int as _det_int
+from .resultants import sequence
 
 
 class SpectrumToleranceWarning(UserWarning):
@@ -72,17 +73,6 @@ def _mul(a, b):
     return out
 
 
-def _pow(a, m: int):
-    result = _identity(len(a))
-    base = [row[:] for row in a]
-    while m:
-        if m & 1:
-            result = _mul(result, base)
-        base = _mul(base, base)
-        m >>= 1
-    return result
-
-
 def char_poly(a: IntegerMatrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - A), exactly.
 
@@ -117,34 +107,22 @@ def _require_ergodic(a: IntegerMatrix):
         raise PreconditionError("matrix has a root-of-unity eigenvalue")
 
 
-def _fixed_points(power) -> int:
-    """|det(A^m - I)| from the power A^m."""
-    shifted = [
-        [x - 1 if i == j else x for j, x in enumerate(row)]
-        for i, row in enumerate(power)
-    ]
-    return abs(_det_int(shifted))
-
-
 def periodic_point_count(a: IntegerMatrix, m: int) -> int:
     """|det(A^m - I)|: the number of points fixed by the m-th iterate."""
     if m < 1:
         raise ValueError("iterate index must be >= 1")
-    _require_ergodic(a)
-    return _fixed_points(_pow([list(row) for row in a.entries], m))
+    return periodic_point_counts(a, m)[-1]
 
 
 def periodic_point_counts(a: IntegerMatrix, order: int) -> list[int]:
-    """Counts for m = 1..order: ergodicity is checked once and A^m is
-    stepped as A^(m-1) * A."""
+    """Counts for m = 1..order, read from the cyclic-resultant sequence of
+    the characteristic polynomial after one ergodicity check."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     _require_ergodic(a)
-    work = [list(row) for row in a.entries]
-    power = _identity(a.n)
-    counts = []
-    for _ in range(order):
-        power = _mul(power, work)
-        counts.append(_fixed_points(power))
-    return counts
+    if order == 0:
+        return []
+    return [abs(int(v.re)) for v in sequence(char_poly(a), order).values]
 
 
 def zeta_series(a: IntegerMatrix, order: int) -> PowerSeries:

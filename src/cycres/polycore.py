@@ -12,7 +12,12 @@ import functools
 import re as _re
 from fractions import Fraction
 
-from .errors import ConvergenceError, PolyParseError, ZeroPolynomialError
+from .errors import (
+    ConvergenceError,
+    DegreeGuardError,
+    PolyParseError,
+    ZeroPolynomialError,
+)
 from .gaussian import GaussianRational
 
 
@@ -493,6 +498,9 @@ def try_exact_roots(f: Polynomial) -> list[GaussianRational] | None:
 
 _WS = _re.compile(r"\s+")
 
+# Terms are stored densely, so an exponent costs that many coefficients.
+PARSE_DEGREE_LIMIT = 10_000
+
 
 class _Reader:
     def __init__(self, text: str):
@@ -573,6 +581,12 @@ def _read_term(r: _Reader) -> Polynomial:
     if r.peek() == "^":
         r.take()
         power = _read_uint(r)
+        if power > PARSE_DEGREE_LIMIT:
+            raise DegreeGuardError(
+                "exponent exceeds the parser's degree limit",
+                degree=power,
+                limit=PARSE_DEGREE_LIMIT,
+            )
     return Polynomial([0] * power + [coeff])
 
 

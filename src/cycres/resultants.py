@@ -8,6 +8,9 @@ in the package relies on.
 """
 from __future__ import annotations
 
+import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,82 +139,170 @@ def _det_exact(m: list[list[GaussianRational]]) -> GaussianRational:
     return _det_field(m)
 
 
+def _sylvester(fd: list, gd: list, zero) -> list[list]:
+    """Sylvester matrix of two descending coefficient lists: deg(g) shifted
+    copies of f's coefficients over deg(f) shifted copies of g's."""
+    n = len(fd) - 1
+    m = len(gd) - 1
+    size = n + m
+    rows = [[zero] * i + fd + [zero] * (size - i - len(fd)) for i in range(m)]
+    rows += [[zero] * i + gd + [zero] * (size - i - len(gd)) for i in range(n)]
+    return rows
+
+
 def resultant(f: Polynomial, g: Polynomial) -> GaussianRational:
     """Res(f, g) = lead(f)^deg(g) * prod g(alpha_i), by Sylvester determinant.
 
-    The Sylvester matrix holds deg(g) shifted copies of f's coefficients over
-    deg(f) shifted copies of g's; its determinant realizes the convention
-    above with no extra sign.  Res(f, 1) = 1 by the empty-product convention.
+    The Sylvester layout realizes the convention above with no extra sign.
+    Res(f, 1) = 1 by the empty-product convention.
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("resultant of the zero polynomial")
-    n = f.degree
-    m = g.degree
-    size = n + m
-    if size == 0:
-        return GaussianRational(1)
-    fd = list(reversed(f.coeffs))
-    gd = list(reversed(g.coeffs))
-    zero = GaussianRational(0)
-    rows: list[list[GaussianRational]] = []
-    for i in range(m):
-        rows.append([zero] * i + fd + [zero] * (size - i - len(fd)))
-    for i in range(n):
-        rows.append([zero] * i + gd + [zero] * (size - i - len(gd)))
-    return _det_exact(rows)
+    return _det_exact(
+        _sylvester(
+            list(reversed(f.coeffs)), list(reversed(g.coeffs)), GaussianRational(0)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
-# the three cyclic-resultant routes
+# the sequence kernel and the three cyclic-resultant routes
 # ---------------------------------------------------------------------------
+#
+# A real f runs on Python ints: with c the least common denominator of its
+# coefficients, F = c*f is integral and r_m(f) = r_m(F) / c^m.  A non-real f
+# runs the same steps over the Gaussian rationals, normalized monic.
+
+
+def _integral(f: Polynomial) -> tuple[list[int], int] | None:
+    """(coefficients of c*f ascending, c) for real f, else None."""
+    if not f.is_real():
+        return None
+    c = 1
+    for a in f.coeffs:
+        c = math.lcm(c, a.re.denominator)
+    return [a.re.numerator * (c // a.re.denominator) for a in f.coeffs], c
+
+
+def _exact_div(num: int, den: int, m: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise InternalCheckError("inexact division in the sequence kernel", m=m)
+    return q
+
+
+def _times_x(power: list, lead, tail: list) -> list:
+    """lead * x * power reduced mod f, on ascending coefficients of degree < d.
+
+    tail holds -a_i for i < d and lead is a_d, so the x^d term is cleared
+    without division.  Over a field pass the monic tail -a_i/a_d and lead 1.
+    """
+    top = power[-1]
+    body = power[:-1] if lead == 1 else [lead * p for p in power[:-1]]
+    if not top:
+        return [top] + body
+    return [top * tail[0]] + [p + top * t for p, t in zip(body, tail[1:])]
+
+
+def _times_companion(power: list[list], lead, tail: list) -> list[list]:
+    """power * B, B the companion-shaped matrix with lead on the subdiagonal
+    and tail as its last column: a column shift plus one dense column."""
+    out = []
+    for row in power:
+        shifted = row[1:] if lead == 1 else [lead * x for x in row[1:]]
+        last = row[0] * tail[0]
+        for x, t in zip(row[1:], tail[1:]):
+            if x:
+                last = last + x * t
+        out.append(shifted + [last])
+    return out
+
+
+def _minus_scalar(power: list[list], scalar) -> list[list]:
+    return [
+        [x - scalar if i == j else x for j, x in enumerate(row)]
+        for i, row in enumerate(power)
+    ]
+
+
+def _companion_values(f: Polynomial) -> Iterator[GaussianRational]:
+    """lead^m * det(C^m - I) for m = 1, 2, ..., with C the companion matrix
+    of f normalized monic and C^m stepped as C^(m-1) * C.
+
+    On the integer path the stepped matrix is B = lead * C, so that
+    r_m(F) = det(B^m - lead^m I) / lead^(m(d-1)), a checked division.
+    """
+    d = f.degree
+    ints = _integral(f)
+    if ints is not None:
+        coeffs, c = ints
+        lead = coeffs[-1]
+        tail = [-a for a in coeffs[:-1]]
+        power = [[int(i == j) for j in range(d)] for i in range(d)]
+        for m in itertools.count(1):
+            power = _times_companion(power, lead, tail)
+            scale = lead**m
+            det = _det_bareiss_int(_minus_scalar(power, scale))
+            value = _exact_div(det * scale, lead ** (m * d), m)
+            yield GaussianRational(Fraction(value, c**m))
+    else:
+        lead = f.leading
+        tail = [-a / lead for a in f.coeffs[:-1]]
+        power = [[GaussianRational(int(i == j)) for j in range(d)] for i in range(d)]
+        for m in itertools.count(1):
+            power = _times_companion(power, 1, tail)
+            yield lead**m * _det_field(_minus_scalar(power, 1))
+
+
+def _reduced_values(f: Polynomial) -> Iterator[GaussianRational]:
+    """r_m = lead^(m - deg h) * Res(f, h) for m = 1, 2, ..., h = (x^m - 1) mod f.
+
+    x^m mod f is stepped from x^(m-1) mod f in O(d), so each term costs one
+    Sylvester determinant of size at most 2d - 1 whatever m is.  On the
+    integer path power holds H = lead^m * (x^m mod F), integral, and with
+    G = H - lead^m, r_m(F) = lead^(m - deg G) * Res(F, G) / lead^(m*d), a
+    checked division.
+    """
+    d = f.degree
+    ints = _integral(f)
+    if d == 0:
+        for m in itertools.count(1):
+            yield f.leading**m
+    elif ints is not None:
+        coeffs, c = ints
+        lead = coeffs[-1]
+        tail = [-a for a in coeffs[:-1]]
+        fd = coeffs[::-1]
+        power = [1] + [0] * (d - 1)
+        for m in itertools.count(1):
+            power = _times_x(power, lead, tail)
+            scale = lead**m
+            g = power[:]
+            g[0] -= scale
+            while g and not g[-1]:
+                g.pop()
+            if not g:
+                yield GaussianRational(0)
+                continue
+            e = len(g) - 1
+            det = _det_bareiss_int(_sylvester(fd, g[::-1], 0))
+            value = _exact_div(lead ** (m - e) * det, scale**d, m)
+            yield GaussianRational(Fraction(value, c**m))
+    else:
+        lead = f.leading
+        tail = [-a / lead for a in f.coeffs[:-1]]
+        power = [GaussianRational(1)] + [GaussianRational(0)] * (d - 1)
+        for m in itertools.count(1):
+            power = _times_x(power, 1, tail)
+            h = Polynomial([power[0] - 1] + power[1:])
+            if h.is_zero():
+                yield GaussianRational(0)
+            else:
+                yield lead ** (m - h.degree) * resultant(f, h)
 
 
 def _x_power_minus_one(m: int) -> Polynomial:
     return Polynomial([-1] + [0] * (m - 1) + [1])
-
-
-def companion_matrix(f: Polynomial) -> list[list[GaussianRational]]:
-    """d x d companion matrix of f normalized monic (subdiagonal of ones)."""
-    if f.is_zero():
-        raise ZeroPolynomialError("companion matrix of the zero polynomial")
-    d = f.degree
-    lead = f.leading
-    zero = GaussianRational(0)
-    mat = [[zero] * d for _ in range(d)]
-    for i in range(1, d):
-        mat[i][i - 1] = GaussianRational(1)
-    for i in range(d):
-        mat[i][d - 1] = -f.coeffs[i] / lead
-    return mat
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    zero = GaussianRational(0)
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(n):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + aik * b[k][j]
-    return out
-
-
-def _mat_pow(a, m: int):
-    n = len(a)
-    result = [
-        [GaussianRational(1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    base = a
-    while m:
-        if m & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        m >>= 1
-    return result
 
 
 def cyclic_resultant(f: Polynomial, m: int, method: str = "direct"):
@@ -230,11 +321,7 @@ def cyclic_resultant(f: Polynomial, m: int, method: str = "direct"):
     if method == "direct":
         return resultant(f, _x_power_minus_one(m))
     if method == "companion":
-        d = f.degree
-        power = _mat_pow(companion_matrix(f), m)
-        for i in range(d):
-            power[i][i] = power[i][i] - 1
-        return f.leading**m * _det_exact(power)
+        return next(itertools.islice(_companion_values(f), m - 1, None))
     if method == "roots":
         value = complex(f.leading) ** m
         for alpha in roots_numeric(f):
@@ -246,27 +333,28 @@ def cyclic_resultant(f: Polynomial, m: int, method: str = "direct"):
 def sequence(f: Polynomial, length: int) -> ResultantSequence:
     """Exact cyclic resultants for m = 1..length.
 
-    Values come from the direct (Sylvester) route; the companion route is
-    recomputed independently for m up to 16 and any disagreement raises an
-    internal error, since the two must agree exactly.
+    Values come from the reduced resultant (:func:`_reduced_values`); the
+    stepped companion route is computed independently for m up to
+    COMPANION_CROSS_CHECK_LIMIT and any disagreement raises an internal
+    error, since the two must agree exactly.
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
     if f.is_zero():
         raise ZeroPolynomialError("sequence of the zero polynomial")
+    checks = _companion_values(f)
     values = []
-    for m in range(1, length + 1):
-        direct = cyclic_resultant(f, m, "direct")
+    for m, value in zip(range(1, length + 1), _reduced_values(f)):
         if m <= COMPANION_CROSS_CHECK_LIMIT:
-            comp = cyclic_resultant(f, m, "companion")
-            if comp != direct:
+            comp = next(checks)
+            if comp != value:
                 raise InternalCheckError(
-                    "direct and companion cyclic resultants disagree",
+                    "reduced and companion cyclic resultants disagree",
                     m=m,
-                    direct=str(direct),
+                    reduced=str(value),
                     companion=str(comp),
                 )
-        values.append(direct)
+        values.append(value)
     return ResultantSequence(tuple(values), is_abs=False, source_degree=f.degree)
 
 

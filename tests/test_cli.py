@@ -148,6 +148,13 @@ class TestZeta:
         result = run_cli("zeta", "--matrix", str(path), "--order", "2")
         assert result.returncode == 2
 
+    def test_negative_order_is_usage_error(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"n": 1, "entries": [["2"]]}))
+        result = run_cli("zeta", "--matrix", str(path), "--order", "-1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error:")
+
 
 class TestGrcheck:
     def test_match(self):
@@ -248,6 +255,11 @@ class TestConjecture:
         b = run_cli("conjecture", "--degree", "2", "--trials", "4", "--seed", "7")
         assert a.stdout == b.stdout
 
+    def test_negative_trials_is_usage_error(self):
+        result = run_cli("conjecture", "--degree", "2", "--trials", "-1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error:")
+
 
 class TestPlumbing:
     def test_usage_error_exit_1(self):
@@ -263,6 +275,11 @@ class TestPlumbing:
         result = run_cli("seq", "--poly", "x^^2", "--n", "1")
         assert result.returncode == 2
         assert json.loads(result.stdout)["code"] == "parse_error"
+
+    def test_degree_guard_exit_2(self):
+        result = run_cli("seq", "--poly", "x^10001-2", "--n", "1")
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["code"] == "degree_guard"
 
     def test_pretty_flag(self):
         result = run_cli("--pretty", "seq", "--poly", "x-2", "--n", "2")

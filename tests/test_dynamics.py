@@ -9,6 +9,7 @@ from cycres.dynamics import (
     char_poly,
     is_ergodic,
     periodic_point_count,
+    periodic_point_counts,
     spectrum_determined,
     zeta_series,
 )
@@ -87,6 +88,11 @@ class TestPeriodCounts:
                 assert want.is_real()
                 assert periodic_point_count(m, k) == abs(want.re)
             done += 1
+
+    def test_order_zero_is_empty_and_negative_order_rejected(self):
+        assert periodic_point_counts(FIB_LIKE, 0) == []
+        with pytest.raises(ValueError):
+            periodic_point_counts(FIB_LIKE, -1)
 
     def test_counts_positive_for_ergodic(self):
         rng = random.Random(44)

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from cycres.errors import PolyParseError, ZeroPolynomialError
+from cycres.errors import DegreeGuardError, PolyParseError, ZeroPolynomialError
 from cycres.gaussian import GaussianRational as G
 from cycres.polycore import (
+    PARSE_DEGREE_LIMIT,
     Polynomial,
     cyclotomic,
     format_poly,
@@ -56,6 +57,12 @@ class TestParsePrint:
             parse("1/0")
         with pytest.raises(PolyParseError):
             parse("")
+
+    def test_exponent_over_the_degree_limit_is_guarded(self):
+        assert parse(f"x^{PARSE_DEGREE_LIMIT}").degree == PARSE_DEGREE_LIMIT
+        with pytest.raises(DegreeGuardError) as info:
+            parse(f"3*x^{PARSE_DEGREE_LIMIT + 1}+1")
+        assert info.value.context["degree"] == PARSE_DEGREE_LIMIT + 1
 
     def test_print_parse_roundtrip_canonical_strings(self):
         for text in ["x^3-10*x^2+31*x-30", "x-2", "2*x^2+3*x+2", "1/2*x+3",

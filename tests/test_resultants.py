@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cycres.errors import PreconditionError, RootOfUnityError, ZeroPolynomialError
+from cycres import resultants
+from cycres.errors import (
+    InternalCheckError,
+    PreconditionError,
+    RootOfUnityError,
+    ZeroPolynomialError,
+)
 from cycres.gaussian import GaussianRational as G
 from cycres.polycore import Polynomial, format_poly, has_root_of_unity, parse
 from cycres.resultants import (
@@ -137,6 +143,77 @@ class TestSequence:
         assert seq[1] == G(1) and seq[3] == G(7)
         with pytest.raises(IndexError):
             seq[0]
+
+
+def kernel_inputs(rng):
+    """One random polynomial of each class the sequence kernel separates."""
+    d = rng.randint(1, 3)
+    ints = [rng.randint(-6, 6) for _ in range(d)]
+    return [
+        Polynomial(ints + [1]),
+        Polynomial(ints + [rng.choice([-3, 2, 5])]),
+        Polynomial(
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
+            + [Fraction(rng.choice([-2, 3]), rng.randint(1, 4))]
+        ),
+        Polynomial(
+            [G(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
+            + [G(rng.choice([1, 2]), rng.choice([0, 1]))]
+        ),
+        Polynomial([0] + ints + [rng.choice([1, -2])]),
+        Polynomial(ints + [1]) * rng.choice(
+            [parse("x-1"), parse("x+1"), parse("x^2+x+1"), Polynomial([G(0, -1), 1])]
+        ),
+        Polynomial.constant(rng.choice([G(-3), G(Fraction(2, 3)), G(1, 2)])),
+    ]
+
+
+class TestSequenceKernel:
+    def test_matches_direct_route_past_the_cross_check_limit(self):
+        rng = random.Random(19)
+        n = 40
+        assert n > resultants.COMPANION_CROSS_CHECK_LIMIT
+        for _ in range(2):
+            for f in kernel_inputs(rng):
+                seq = sequence(f, n)
+                for m in range(1, n + 1):
+                    assert seq[m] == cyclic_resultant(f, m, "direct"), (f, m)
+
+    def test_scaling_law(self):
+        # r_m(c*f) = c^m * r_m(f): Res(c*f, g) = c^deg(g) * Res(f, g)
+        rng = random.Random(20)
+        for _ in range(10):
+            for f in kernel_inputs(rng):
+                c = rng.choice(
+                    [G(Fraction(-3, 2)), G(Fraction(5, 7)), G(4), G(1, -2)]
+                )
+                base = sequence(f, 20).values
+                scaled = sequence(f * Polynomial.constant(c), 20).values
+                assert all(
+                    s == c**m * b for m, (s, b) in enumerate(zip(scaled, base), 1)
+                )
+
+    def test_companion_route_matches_stepped_power(self):
+        f = parse("3*x^3-2*x+5")
+        seq = sequence(f, 20)
+        for m in (1, 7, 20):
+            assert cyclic_resultant(f, m, "companion") == seq[m]
+
+    def test_cross_check_is_live(self, monkeypatch):
+        stepped = resultants._companion_values
+
+        def off_by_one(f):
+            for value in stepped(f):
+                yield value + 1
+
+        monkeypatch.setattr(resultants, "_companion_values", off_by_one)
+        for text in ["x^2-3*x+5", "2*x^3+x-1/3", "(1+2i)*x^2-x+3"]:
+            with pytest.raises(InternalCheckError):
+                sequence(parse(text), 3)
+
+    def test_inexact_division_is_an_internal_error(self):
+        with pytest.raises(InternalCheckError):
+            resultants._exact_div(7, 2, m=1)
 
 
 class TestSignData:

@@ -213,6 +213,8 @@ def _reconstruct_plain(args, cfg: Config, values) -> dict:
 
 
 def _cmd_reconstruct(args, cfg: Config) -> dict:
+    if args.degree < 0:
+        raise _UsageError("--degree must be >= 0")
     values = _parse_rational_values(args.values)
     if args.use_abs:
         seq = ResultantSequence(tuple(values), is_abs=True)
@@ -266,6 +268,8 @@ def _cmd_genfun(args) -> dict:
 
 
 def _cmd_conjecture(args, cfg: Config) -> dict:
+    if args.degree < 0:
+        raise _UsageError("--degree must be >= 0")
     if args.trials < 0:
         raise _UsageError("--trials must be >= 0")
     if args.seed is not None:

@@ -1,17 +1,20 @@
-"""Desk-scale multivariate polynomials and a minimal Buchberger engine.
+"""Desk-scale multivariate polynomials and a Buchberger engine.
 
 Monomials are exponent tuples ordered lexicographically with variable 0 most
 significant; coefficients are exact Gaussian rationals.  The scale target is
-reconstruction systems with at most four unknowns, so the implementation
-favors correctness checks (every S-polynomial of a finished basis reduces to
-zero) over pairing heuristics; only the coprime-leading-term criterion is
-used to prune pairs.
+reconstruction systems with at most four unknowns.  Buchberger's loop takes
+pairs by the normal selection strategy (smallest lcm first), prunes them by
+the coprime-leading-term and chain criteria (Cox, Little and O'Shea, *Ideals,
+Varieties, and Algorithms*, section 2.10), reduces in place on term dicts,
+and stops at once on the unit ideal.  The criteria only prune the loop: every
+S-polynomial of the finished basis is still checked to reduce to zero.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 
-from .errors import UnderdeterminedError
+from .errors import InternalCheckError, UnderdeterminedError
 from .gaussian import GaussianRational
 from .polycore import Polynomial, poly_gcd, rationalize, roots_numeric
 
@@ -29,6 +32,13 @@ class MultiPoly:
                     self.terms[tuple(exps)] = c
 
     # -- constructors ----------------------------------------------------
+
+    @staticmethod
+    def _of_terms(nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap a dict of nonzero GaussianRational terms without copying."""
+        p = MultiPoly(nvars)
+        p.terms = terms
+        return p
 
     @staticmethod
     def const(nvars: int, value) -> "MultiPoly":
@@ -194,82 +204,137 @@ def _lcm_exps(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
+def _subtract_multiple(work: dict, q: GaussianRational, shift, g: dict, skip):
+    """work -= q * x^shift * g in place, dropping keys that reach zero.  The
+    term of g at exponent skip is left out: the caller cancels it."""
+    neg_q = -q
+    for e, c in g.items():
+        if e == skip:
+            continue
+        e2 = tuple(a + b for a, b in zip(e, shift))
+        prod = neg_q * c
+        acc = work.get(e2)
+        if acc is None:
+            work[e2] = prod
+        else:
+            acc = acc + prod
+            if acc.is_zero():
+                del work[e2]
+            else:
+                work[e2] = acc
+
+
 def normal_form(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
     """Full multivariate division remainder: no remaining term is divisible
     by any basis leading monomial."""
-    leads = [(g.leading()[0], g.leading()[1], g) for g in basis if not g.is_zero()]
-    remainder = MultiPoly(p.nvars)
-    work = p
-    while not work.is_zero():
-        exps, coeff = work.leading()
-        reduced = False
+    leads = [g.leading() + (g.terms,) for g in basis if not g.is_zero()]
+    work = dict(p.terms)
+    remainder: dict[tuple[int, ...], GaussianRational] = {}
+    while work:
+        exps = max(work)
+        coeff = work.pop(exps)
         for le, lc, g in leads:
             if _divides(le, exps):
+                q = coeff if lc.is_one() else coeff / lc
                 shift = tuple(a - b for a, b in zip(exps, le))
-                factor = MultiPoly(p.nvars, {shift: coeff / lc})
-                work = work - factor * g
-                reduced = True
+                _subtract_multiple(work, q, shift, g, le)
                 break
-        if not reduced:
-            remainder = remainder + MultiPoly(p.nvars, {exps: coeff})
-            work = work - MultiPoly(p.nvars, {exps: coeff})
-    return remainder
+        else:
+            remainder[exps] = coeff
+    return MultiPoly._of_terms(p.nvars, remainder)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     ef, cf = f.leading()
     eg, cg = g.leading()
     lcm = _lcm_exps(ef, eg)
-    mf = MultiPoly(f.nvars, {tuple(a - b for a, b in zip(lcm, ef)): 1 / cf})
-    mg = MultiPoly(g.nvars, {tuple(a - b for a, b in zip(lcm, eg)): 1 / cg})
-    return mf * f - mg * g
+    out: dict[tuple[int, ...], GaussianRational] = {}
+    # the two leading terms cancel, so both are skipped
+    _subtract_multiple(out, -1 / cf, tuple(a - b for a, b in zip(lcm, ef)), f.terms, ef)
+    _subtract_multiple(out, 1 / cg, tuple(a - b for a, b in zip(lcm, eg)), g.terms, eg)
+    return MultiPoly._of_terms(f.nvars, out)
 
 
-def groebner_basis(generators, check: bool = True) -> list[MultiPoly]:
-    """Lexicographic Groebner basis by Buchberger's algorithm.
+def _check_basis(basis: list[MultiPoly]) -> None:
+    """Raise InternalCheckError unless every S-polynomial of every pair
+    reduces to zero modulo the basis."""
+    for f, g in itertools.combinations(basis, 2):
+        if not normal_form(s_polynomial(f, g), basis).is_zero():
+            raise InternalCheckError(
+                "S-polynomial does not reduce to zero", f=str(f), g=str(g)
+            )
 
-    Pairs with coprime leading monomials are skipped; everything else is
-    reduced fully.  The finished basis is inter-reduced and, when check is
-    set, every S-polynomial is verified to reduce to zero.
+
+def groebner_basis(generators) -> list[MultiPoly]:
+    """Reduced lexicographic Groebner basis by Buchberger's algorithm.
+
+    The pending pair with the smallest leading-monomial lcm (total degree,
+    then lex, then index) is reduced first.  A pair is skipped when its
+    leading monomials are coprime, or by Buchberger's chain criterion: some
+    third member's leading monomial divides the lcm and neither of its
+    pairs with the two is still pending.  A nonzero constant among the
+    generators or the remainders ends the loop with the unit ideal [1].
+    The finished basis is inter-reduced and every S-polynomial of every
+    pair of it is checked to reduce to zero (InternalCheckError if not).
     """
-    basis = [g.monic() for g in generators if not g.is_zero()]
+    basis: list[MultiPoly] = []
+    for g in generators:
+        if g.is_zero():
+            continue
+        if g.is_constant():
+            return [MultiPoly.const(g.nvars, 1)]
+        basis.append(g.monic())
     if not basis:
         return []
-    pairs = list(itertools.combinations(range(len(basis)), 2))
-    while pairs:
-        i, j = pairs.pop()
-        ei, _ = basis[i].leading()
-        ej, _ = basis[j].leading()
-        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+    nvars = basis[0].nvars
+    leads = [g.leading()[0] for g in basis]
+    pending: set[tuple[int, int]] = set()
+    queue: list[tuple[int, tuple[int, ...], int, int]] = []
+
+    def add_pairs(j: int):
+        for i in range(j):
+            lcm = _lcm_exps(leads[i], leads[j])
+            pending.add((i, j))
+            heapq.heappush(queue, (sum(lcm), lcm, i, j))
+
+    for j in range(1, len(basis)):
+        add_pairs(j)
+    while queue:
+        _, lcm, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
+        if all(a == 0 or b == 0 for a, b in zip(leads[i], leads[j])):
             continue  # coprime leading monomials: S-poly reduces to zero
+        if any(
+            k != i
+            and k != j
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            and _divides(lk, lcm)
+            for k, lk in enumerate(leads)
+        ):
+            continue  # chain criterion: covered by pairs already reduced
         rem = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if not rem.is_zero():
-            basis.append(rem.monic())
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+        if rem.is_zero():
+            continue
+        if rem.is_constant():
+            return [MultiPoly.const(nvars, 1)]
+        basis.append(rem.monic())
+        leads.append(basis[-1].leading()[0])
+        add_pairs(len(basis) - 1)
 
     # inter-reduce: drop members reducing to zero modulo the rest, and fully
     # reduce the survivors for a triangular-looking output
-    reduced: list[MultiPoly] = []
     for i, g in enumerate(basis):
         others = basis[:i] + basis[i + 1 :]
         rem = normal_form(g, others)
-        if not rem.is_zero():
-            basis[i] = rem.monic()
-        else:
-            basis[i] = MultiPoly(g.nvars)
+        basis[i] = rem.monic() if not rem.is_zero() else MultiPoly(nvars)
     reduced = [g for g in basis if not g.is_zero()]
     final: list[MultiPoly] = []
     for i, g in enumerate(reduced):
         rem = normal_form(g, reduced[:i] + reduced[i + 1 :])
         if not rem.is_zero():
             final.append(rem.monic())
-    if not final:
-        final = [MultiPoly.const(generators[0].nvars, 0)]
-
-    if check:
-        for f, g in itertools.combinations(final, 2):
-            if not normal_form(s_polynomial(f, g), final).is_zero():
-                raise AssertionError("S-polynomial does not reduce to zero")
+    _check_basis(final)
     return final
 
 

@@ -9,14 +9,15 @@ from cycres.cli import main
 BASE = [sys.executable, "-m", "cycres.cli"]
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     import os
 
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=full_env
+        BASE + list(args), capture_output=True, text=True, env=full_env,
+        timeout=timeout,
     )
 
 
@@ -131,6 +132,23 @@ class TestReconstruct:
         result = run_cli("reconstruct", "--degree", "1", "--values=1/0,2")
         assert result.returncode == 1
         assert result.stderr.startswith("usage error:")
+
+    def test_negative_degree_is_usage_error(self):
+        result = run_cli("reconstruct", "--degree", "-1", "--values=1,2")
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error:")
+
+    def test_general_cubic_returns_its_family(self):
+        # a non-monic cubic is fixed by r_1..r_4 only up to its 2^(d-1) = 4
+        # family members, and the Groebner route lists all of them
+        result = run_cli(
+            "reconstruct", "--degree", "3", "--values=-48,4800,-557424,47328000"
+        )
+        assert result.returncode == 0
+        data = json.loads(result.stdout)
+        assert data["method"] == "groebner" and data["verified"] is True
+        assert len(data["candidates"]) == 4
+        assert "3*x^3-10*x^2-29*x+84" in data["candidates"]
 
 
 class TestZeta:
@@ -257,6 +275,11 @@ class TestConjecture:
 
     def test_negative_trials_is_usage_error(self):
         result = run_cli("conjecture", "--degree", "2", "--trials", "-1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error:")
+
+    def test_negative_degree_is_usage_error(self):
+        result = run_cli("conjecture", "--degree", "-1", "--trials", "1", timeout=60)
         assert result.returncode == 1
         assert result.stderr.startswith("usage error:")
 

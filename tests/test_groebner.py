@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from cycres.errors import UnderdeterminedError
+from cycres.errors import InternalCheckError, UnderdeterminedError
 from cycres.gaussian import GaussianRational as G
 from cycres.groebner import (
     MultiPoly,
+    _check_basis,
     exact_univariate_roots,
     groebner_basis,
     is_unit_ideal,
@@ -108,6 +109,10 @@ class TestBuchberger:
         n = 1
         basis = groebner_basis([v(n, 0), v(n, 0) - 1])
         assert is_unit_ideal(basis)
+        # a constant generator, and a constant remainder (x*y = 1, y = 0)
+        n = 2
+        assert groebner_basis([v(n, 0) * v(n, 1) - 1, c(n, 3)]) == [c(n, 1)]
+        assert groebner_basis([v(n, 0) * v(n, 1) - 1, v(n, 1)]) == [c(n, 1)]
 
     def test_spoly_reductions_vanish(self):
         rng = random.Random(63)
@@ -126,6 +131,51 @@ class TestBuchberger:
             basis = groebner_basis(gens)  # internal check asserts reductions
             for f, g in itertools.combinations(basis, 2):
                 assert normal_form(s_polynomial(f, g), basis).is_zero()
+
+    def test_check_rejects_a_non_basis(self):
+        # {x^2 - y, x*y - 1} is not a Groebner basis: S = x - y^2 reduces to
+        # a nonzero remainder, and the finished-basis check must say so
+        n = 2
+        gens = [v(n, 0) * v(n, 0) - v(n, 1), v(n, 0) * v(n, 1) - 1]
+        with pytest.raises(InternalCheckError):
+            _check_basis(gens)
+        _check_basis(groebner_basis(gens))
+
+    def test_matches_sympy_reduced_basis(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(64)
+        units = 0
+        for _ in range(100):
+            n = rng.randint(2, 3)
+            syms = sympy.symbols(f"x0:{n}")
+            count = rng.randint(2, 3)
+            gens = []
+            while len(gens) < count:
+                terms = {}
+                for _ in range(rng.randint(1, 3)):
+                    exps = tuple(rng.randint(0, 2) for _ in range(n))
+                    terms[exps] = rng.randint(-4, 4)
+                p = MultiPoly(n, terms)
+                if not p.is_zero():
+                    gens.append(p)
+            ours = {
+                frozenset((e, cf.re) for e, cf in g.terms.items())
+                for g in groebner_basis(gens)
+            }
+            exprs = [
+                sum(int(cf.re) * sympy.prod(s**k for s, k in zip(syms, e))
+                    for e, cf in g.terms.items())
+                for g in gens
+            ]
+            theirs = set()
+            for g in sympy.groebner(exprs, *syms, order="lex", domain="QQ"):
+                monic = sympy.Poly(g, *syms, domain="QQ").monic()
+                theirs.add(frozenset(
+                    (e, Fraction(int(cf.p), int(cf.q))) for e, cf in monic.terms()
+                ))
+            assert ours == theirs
+            units += ours == {frozenset({((0,) * n, 1)})}
+        assert 0 < units < 100  # unit ideals and proper ideals both occur
 
     def test_normal_form_is_idempotent(self):
         n = 2

@@ -11,6 +11,7 @@ from cycres.errors import (
     PreconditionError,
     VerificationError,
 )
+from cycres.equivalence import equivalent_family
 from cycres.gaussian import GaussianRational as G
 from cycres.polycore import Polynomial, format_poly, has_root_of_unity, parse
 from cycres.reconstruct import (
@@ -200,6 +201,36 @@ class TestGroebnerRoute:
         bad = list(vals.values)
         bad[-1] = bad[-1] + 1  # corrupt a value beyond the guard window
         assert invert_groebner(bad, 2, True) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3*x^2+9*x-30", "-2*x^2-2*x+24", "3*x^3-117*x+210", "5*x^3-35*x^2+180"],
+    )
+    def test_general_route_returns_the_family(self, text):
+        # r_1..r_{d+1} fix a general f only up to its 2^(d-1) equivalent
+        # polynomials; the general route must return exactly that family
+        f = parse(text)
+        d = f.degree
+        got = invert_groebner(sequence(f, d + 1), d, monic=False)
+        assert len(got) == 2 ** (d - 1)
+        assert {p.coeffs for p in got} == {p.coeffs for p in equivalent_family(f).members}
+
+    def test_general_route_family_random(self):
+        rng = random.Random(76)
+        for d in (2, 3):
+            done = 0
+            while done < 8:
+                roots = rng.sample([r for r in range(-6, 7) if r not in (-1, 0, 1)], d)
+                lead = rng.choice([-3, -2, 2, 3, 5])
+                f = Polynomial.from_roots([G(r) for r in roots], lead=lead)
+                vals = sequence(f, d + 1)
+                if vals.has_zero():
+                    continue
+                got = invert_groebner(vals, d, monic=False)
+                family = equivalent_family(f).members
+                assert {p.coeffs for p in got} == {p.coeffs for p in family}
+                assert len(got) == 2 ** (d - 1)
+                done += 1
 
     def test_round_trip_random(self):
         rng = random.Random(75)

@@ -75,6 +75,7 @@ from .resultants import (
     SignData,
     abs_sequence,
     cyclic_resultant,
+    reproduces,
     resultant,
     sequence,
     sign_data,

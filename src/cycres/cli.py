@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -67,6 +68,18 @@ def _parse_rational_values(text: str) -> list[GaussianRational]:
             out.append(GaussianRational(Fraction(chunk)))
         except ZeroDivisionError:
             raise _UsageError(f"zero denominator in --values: {chunk}") from None
+    return out
+
+
+def _glue_dash_values(argv: list[str]) -> list[str]:
+    """`--values -3,5` -> `--values=-3,5`: argparse reads a dash-led token
+    that is not a plain negative number as an option, not as the value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--values" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--values={arg}"
+        else:
+            out.append(arg)
     return out
 
 
@@ -287,7 +300,13 @@ def _cmd_conjecture(args, cfg: Config) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_dash_values(sys.argv[1:] if argv is None else list(argv))
+        )
+        # argparse reads "--opt=--" as an empty list, not as a missing value
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise _UsageError(f"argument {name}: expected one argument")
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .equivalence import root_subset_products
 from .genfun import PowerSeries, exp_neg_weighted_series_exact
 from .polycore import Polynomial, has_root_of_unity
@@ -77,7 +77,8 @@ def char_poly(a: IntegerMatrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - A), exactly.
 
     Faddeev-LeVerrier recursion over the integers: every coefficient is an
-    integer, so each trace divides exactly, and that is asserted.
+    integer, so each trace divides exactly; a remainder raises
+    InternalCheckError.
     """
     n = a.n
     work = [list(row) for row in a.entries]
@@ -87,7 +88,7 @@ def char_poly(a: IntegerMatrix) -> Polynomial:
         am = _mul(work, m_mat)
         trace = sum(am[i][i] for i in range(n))
         if trace % k:
-            raise AssertionError("characteristic polynomial must be integral")
+            raise InternalCheckError("characteristic polynomial must be integral", k=k)
         coeffs.append(-trace // k)
         for i in range(n):
             am[i][i] += coeffs[-1]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DegreeGuardError,
+    InternalCheckError,
     PreconditionError,
     RootOfUnityError,
     ZeroPolynomialError,
@@ -30,7 +31,7 @@ from .polycore import (
     roots_numeric,
     try_exact_roots,
 )
-from .resultants import sequence
+from .resultants import reproduces, sequence
 
 DEFAULT_CHECK_LENGTH = 10
 SUBSET_SCAN_LIMIT = 20
@@ -66,22 +67,6 @@ class EquivalenceFamily:
         return poly in self.members
 
 
-def _canonical_order(member: Polynomial):
-    return (member.degree, tuple(c.sort_key() for c in member.coeffs))
-
-
-def _sorted_unique(pairs):
-    """Sort (member, record) pairs canonically and drop duplicate members."""
-    seen = set()
-    out = []
-    for member, record in sorted(pairs, key=lambda mr: _canonical_order(mr[0])):
-        if member.coeffs in seen:
-            continue
-        seen.add(member.coeffs)
-        out.append((member, record))
-    return out
-
-
 def _split_base(g: Polynomial, check_length: int):
     """Common preconditions; returns (l2, h, base sequence)."""
     if g.is_zero():
@@ -105,7 +90,7 @@ def _member_exact(lead, keep, flip, l1: int, sign: int) -> Polynomial:
     return member if sign == 1 else -member
 
 
-def _member_float(lead: complex, keep, flip, l1: int, sign: int) -> list[complex]:
+def _member_float(lead, keep, flip, l1: int, sign: int) -> list[complex]:
     coeffs = [complex(lead)]
     for alpha in keep:
         # multiply by (x - alpha)
@@ -122,6 +107,22 @@ def _member_float(lead: complex, keep, flip, l1: int, sign: int) -> list[complex
     return [sign * c for c in coeffs]
 
 
+def _subset_choice(roots, subset):
+    """(flip, keep, sign): the indexed roots go into the reversal part and
+    the sign is (-1)^(subset size)."""
+    chosen = set(subset)
+    flip = [roots[i] for i in subset]
+    keep = [r for i, r in enumerate(roots) if i not in chosen]
+    return flip, keep, -1 if len(subset) % 2 else 1
+
+
+def _parity_subsets(roots, parity: int):
+    """Choices for every root subset whose size has the given parity."""
+    for size in range(parity, len(roots) + 1, 2):
+        for subset in itertools.combinations(range(len(roots)), size):
+            yield _subset_choice(roots, subset)
+
+
 def equivalent_member(
     g: Polynomial, subset: tuple[int, ...], l1: int | None = None
 ) -> Polynomial:
@@ -135,9 +136,7 @@ def equivalent_member(
         raise PreconditionError("base polynomial does not split exactly")
     if len(subset) % 2 != (l2 - l1) % 2:
         raise PreconditionError("subset size violates the parity constraint")
-    flip = [roots[i] for i in subset]
-    keep = [roots[i] for i in range(len(roots)) if i not in set(subset)]
-    sign = -1 if len(subset) % 2 else 1
+    flip, keep, sign = _subset_choice(roots, subset)
     return _member_exact(h.leading, keep, flip, l1, sign)
 
 
@@ -155,46 +154,60 @@ def equivalent_family(
     """
     if l1 is not None and l1 < 0:
         raise ValueError("x-multiplicity must be >= 0")
+    return _family(g, l1, check_length, use_abs=False)
+
+
+def _family(
+    g: Polynomial, l1: int | None, check_length: int, use_abs: bool
+) -> EquivalenceFamily:
+    """Build, verify and order one family.
+
+    Every candidate must reproduce g's (absolute) prefix of length
+    check_length.  An exact member that does not is a bug and raises
+    InternalCheckError; a numeric one that does not is set aside, with its
+    float coefficients, in `unverified`.
+    """
     l2, h, base_seq = _split_base(g, check_length)
     if l1 is None:
         l1 = l2
-    parity = (l2 - l1) % 2
+    target = base_seq.values
+    if use_abs:
+        target = tuple(GaussianRational(abs(v.re)) for v in target)
     d = h.degree
     if d > SUBSET_SCAN_LIMIT:
         raise DegreeGuardError("root-subset enumeration is exponential", degree=d)
 
-    exact_roots = try_exact_roots(h)
-    numeric_roots = None if exact_roots is not None else roots_numeric(h)
+    roots = try_exact_roots(h)
+    exact = roots is not None
+    if not exact:
+        roots = roots_numeric(h)
+    if use_abs:
+        group = _conjugation_orbits_exact if exact else _conjugation_orbits_numeric
+        choices = _orbit_choices(group(roots))
+    else:
+        choices = _parity_subsets(roots, (l2 - l1) % 2)
 
-    candidates = []
+    found: dict[Polynomial, SubsetRecord] = {}
     unverified: list[tuple[complex, ...]] = []
-    for size in range(parity, d + 1, 2):
-        for subset in itertools.combinations(range(d), size):
-            chosen = set(subset)
-            sign = -1 if size % 2 else 1
-            if exact_roots is not None:
-                flip = [exact_roots[i] for i in subset]
-                keep = [exact_roots[i] for i in range(d) if i not in chosen]
-                member = _member_exact(h.leading, keep, flip, l1, sign)
-            else:
-                flip = [numeric_roots[i] for i in subset]
-                keep = [numeric_roots[i] for i in range(d) if i not in chosen]
-                floats = _member_float(complex(h.leading), keep, flip, l1, sign)
-                member = Polynomial([rationalize(c) for c in floats])
-                if sequence(member, check_length).values != base_seq.values:
-                    unverified.append(tuple(floats))
-                    continue
-            record = SubsetRecord(
-                reversed_roots=tuple(str(r) for r in flip), sign=sign
-            )
-            candidates.append((member, record))
+    for flip, keep, sign in choices:
+        if exact:
+            member = _member_exact(h.leading, keep, flip, l1, sign)
+        else:
+            floats = _member_float(h.leading, keep, flip, l1, sign)
+            member = Polynomial([rationalize(c) for c in floats])
+            if use_abs and not member.is_real():
+                member = Polynomial([GaussianRational(c.re) for c in member.coeffs])
+        if not reproduces(member, target, use_abs):
+            if exact:
+                raise InternalCheckError(
+                    "constructed member fails sequence verification",
+                    member=str(member),
+                )
+            unverified.append(tuple(floats))
+            continue
+        found.setdefault(member, SubsetRecord(tuple(str(r) for r in flip), sign))
 
-    for member, _ in candidates:
-        if sequence(member, check_length).values != base_seq.values:
-            raise AssertionError(
-                f"constructed member {member} fails sequence verification"
-            )
-    ordered = _sorted_unique(candidates)
+    ordered = sorted(found.items(), key=lambda item: item[0].sort_key())
     return EquivalenceFamily(
         base=g,
         members=tuple(m for m, _ in ordered),
@@ -273,6 +286,19 @@ def sorted_complex(values):
     return sorted(values, key=lambda z: (z.real, z.imag))
 
 
+def _orbit_choices(orbits):
+    """Choices that carry whole conjugation orbits, any number of copies of
+    each, into the reversal part; both global signs for each."""
+    for choice in itertools.product(*(range(mult + 1) for _, mult in orbits)):
+        flip = []
+        keep = []
+        for (orbit, mult), take in zip(orbits, choice):
+            flip.extend(orbit * take)
+            keep.extend(orbit * (mult - take))
+        for sign in (1, -1):
+            yield flip, keep, sign
+
+
 def real_equivalent_family(
     g: Polynomial, check_length: int = DEFAULT_CHECK_LENGTH
 ) -> EquivalenceFamily:
@@ -281,71 +307,11 @@ def real_equivalent_family(
     Subsets must be closed under conjugation (whole conjugate-pair orbits at
     a time) so members stay real; both global signs are tried and there is no
     parity constraint.  Each candidate is verified by exact absolute-value
-    sequence equality and dropped on failure.
+    sequence equality, as in equivalent_family.
     """
     if not g.is_real():
         raise PreconditionError("real variant requires real coefficients")
-    l2, h, base_seq = _split_base(g, check_length)
-    base_abs = tuple(GaussianRational(abs(v.re)) for v in base_seq.values)
-    d = h.degree
-    if d > SUBSET_SCAN_LIMIT:
-        raise DegreeGuardError("root-subset enumeration is exponential", degree=d)
-
-    exact_roots = try_exact_roots(h)
-    if exact_roots is not None:
-        orbits = _conjugation_orbits_exact(exact_roots)
-        lead = h.leading
-        exact = True
-    else:
-        orbits = _conjugation_orbits_numeric(roots_numeric(h))
-        lead = complex(h.leading)
-        exact = False
-
-    candidates = []
-    unverified: list[tuple[complex, ...]] = []
-    choice_ranges = [range(mult + 1) for _, mult in orbits]
-    for choice in itertools.product(*choice_ranges):
-        flip = []
-        keep = []
-        for (orbit, mult), take in zip(orbits, choice):
-            for _ in range(take):
-                flip.extend(orbit)
-            for _ in range(mult - take):
-                keep.extend(orbit)
-        for sign in (1, -1):
-            if exact:
-                member = _member_exact(lead, keep, flip, l2, sign)
-                ok = (
-                    tuple(
-                        GaussianRational(abs(v.re))
-                        for v in sequence(member, check_length).values
-                    )
-                    == base_abs
-                )
-                if not ok:
-                    continue
-            else:
-                floats = _member_float(lead, keep, flip, l2, sign)
-                member = Polynomial([rationalize(c) for c in floats])
-                if not member.is_real():
-                    member = Polynomial([GaussianRational(c.re) for c in member.coeffs])
-                values = sequence(member, check_length).values
-                if tuple(GaussianRational(abs(v.re)) for v in values) != base_abs:
-                    unverified.append(tuple(floats))
-                    continue
-            record = SubsetRecord(
-                reversed_roots=tuple(str(r) for r in flip), sign=sign
-            )
-            candidates.append((member, record))
-
-    ordered = _sorted_unique(candidates)
-    return EquivalenceFamily(
-        base=g,
-        members=tuple(m for m, _ in ordered),
-        l1=l2,
-        subset_log=tuple(r for _, r in ordered),
-        unverified=tuple(unverified),
-    )
+    return _family(g, None, check_length, use_abs=True)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,10 @@ class Polynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def sort_key(self) -> tuple:
+        """Canonical total order: degree, then coefficients from the constant up."""
+        return (self.degree, tuple(c.sort_key() for c in self.coeffs))
+
     # ---- calculus & evaluation -----------------------------------------
 
     def derivative(self) -> "Polynomial":

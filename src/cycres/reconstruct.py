@@ -14,6 +14,7 @@ candidate that fails rationalization is handed back unverified and flagged.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from .polycore import (
     has_root_of_unity,
     rationalize,
 )
-from .resultants import ResultantSequence, sequence
+from .resultants import ResultantSequence, _sylvester, reproduces, sequence
 
 GROEBNER_DEGREE_LIMIT = 3
 NEWTON_MAX_ITER = 60
@@ -208,9 +209,7 @@ def _invert_sextic_reciprocal(values) -> Polynomial:
 # symbolic resultants and the Groebner route
 # ---------------------------------------------------------------------------
 
-_SYM_CACHE: dict[tuple[int, int, bool], MultiPoly] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def symbolic_cyclic_resultant(d: int, m: int, monic: bool) -> MultiPoly:
     """Res(f, x^m - 1) with unknown coefficients, as an exact polynomial.
 
@@ -218,10 +217,6 @@ def symbolic_cyclic_resultant(d: int, m: int, monic: bool) -> MultiPoly:
     notation, most significant first under lex.  The Sylvester determinant is
     expanded once per (d, m, monic) and cached.
     """
-    key = (d, m, monic)
-    got = _SYM_CACHE.get(key)
-    if got is not None:
-        return got
     nvars = d if monic else d + 1
 
     def coeff_var(k: int) -> MultiPoly:
@@ -238,16 +233,7 @@ def symbolic_cyclic_resultant(d: int, m: int, monic: bool) -> MultiPoly:
         + [MultiPoly.const(nvars, 0)] * (m - 1)
         + [MultiPoly.const(nvars, -1)]
     )
-    size = d + m
-    zero = MultiPoly.const(nvars, 0)
-    rows = []
-    for i in range(m):
-        rows.append([zero] * i + f_desc + [zero] * (size - i - d - 1))
-    for i in range(d):
-        rows.append([zero] * i + g_desc + [zero] * (size - i - m - 1))
-    det = sym_det(rows)
-    _SYM_CACHE[key] = det
-    return det
+    return sym_det(_sylvester(f_desc, g_desc, MultiPoly.const(nvars, 0)))
 
 
 GROEBNER_EQUATION_LIMIT = 5
@@ -292,15 +278,9 @@ def invert_groebner(values, d: int, monic: bool = True) -> list[Polynomial]:
         candidate = Polynomial(ascending)
         if candidate.degree != d:
             continue  # leading coefficient vanished: not a degree-d answer
-        if tuple(sequence(candidate, len(vals)).values) == tuple(vals):
+        if reproduces(candidate, vals):
             out.append(candidate)
-    seen = set()
-    unique = []
-    for p in sorted(out, key=lambda q: tuple(c.sort_key() for c in q.coeffs)):
-        if p.coeffs not in seen:
-            seen.add(p.coeffs)
-            unique.append(p)
-    return unique
+    return sorted(set(out), key=Polynomial.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +433,7 @@ def invert_newton(
             # (reciprocal inputs make the system Jacobian singular)
             for bound in (10, 1000, RATIONALIZE_DENOMINATOR_BOUND):
                 exact = Polynomial([rationalize(c, bound) for c in coeffs])
-                if (
-                    exact.degree == d
-                    and tuple(sequence(exact, len(vals)).values) == tuple(vals)
-                ):
+                if exact.degree == d and reproduces(exact, vals):
                     return NewtonResult(
                         polynomial=exact,
                         float_coeffs=tuple(coeffs),
@@ -486,6 +463,21 @@ def invert_newton(
 SIGN_PATTERNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 
 
+def _exact_answers(
+    values, d: int, monic: bool, restarts: int = DEFAULT_RESTARTS, rng=None
+) -> list[Polynomial]:
+    """Exactly verified answers: every Groebner solution up to
+    GROEBNER_DEGREE_LIMIT, above it Newton's answer when it verified.
+
+    Given rng, Newton's seed is drawn from it, and only when Newton runs.
+    """
+    if d <= GROEBNER_DEGREE_LIMIT:
+        return invert_groebner(values, d, monic)
+    seed = DEFAULT_SEED if rng is None else rng.randrange(2**30)
+    result = invert_newton(values, d, monic, restarts=restarts, seed=seed)
+    return [result.polynomial] if result.verified else []
+
+
 @dataclass(frozen=True)
 class Disambiguation:
     polynomial: Polynomial
@@ -509,7 +501,6 @@ def disambiguate_abs(values, d: int, monic: bool = True) -> Disambiguation:
     vals = _values_list(values)
     if any(not v.is_real() or v.re <= 0 for v in vals):
         raise PreconditionError("absolute values must be positive reals")
-    abs_tuple = tuple(v.re for v in vals)
     by_pattern: dict[tuple[int, int], list[Polynomial]] = {}
     attempts = []
     for base, alt in SIGN_PATTERNS:
@@ -518,22 +509,10 @@ def disambiguate_abs(values, d: int, monic: bool = True) -> Disambiguation:
             for m, v in zip(range(1, len(vals) + 1), vals)
         ]
         try:
-            if d <= GROEBNER_DEGREE_LIMIT:
-                candidates = invert_groebner(lifted, d, monic)
-            else:
-                result = invert_newton(lifted, d, monic)
-                candidates = [result.polynomial] if result.verified else []
+            candidates = _exact_answers(lifted, d, monic)
         except (NoSolutionError, ConvergenceError, PreconditionError):
-            attempts.append((base, alt, 0))
-            by_pattern[(base, alt)] = []
-            continue
-        verified = []
-        for cand in candidates:
-            got = sequence(cand, len(vals)).values
-            if all(v.is_real() for v in got) and tuple(
-                abs(v.re) for v in got
-            ) == abs_tuple:
-                verified.append(cand)
+            candidates = []
+        verified = [c for c in candidates if reproduces(c, vals, use_abs=True)]
         attempts.append((base, alt, len(verified)))
         by_pattern[(base, alt)] = verified
 
@@ -711,13 +690,7 @@ def conjecture_harness(d: int, trials: int, seed: int = DEFAULT_SEED) -> Conject
                 break
         vals = sequence(f, d + 1)
         try:
-            if d <= GROEBNER_DEGREE_LIMIT:
-                answers = invert_groebner(vals, d, monic=True)
-            else:
-                result = invert_newton(
-                    vals, d, monic=True, restarts=64, seed=rng.randrange(2**30)
-                )
-                answers = [result.polynomial] if result.verified else []
+            answers = _exact_answers(vals, d, monic=True, restarts=64, rng=rng)
         except Exception as exc:  # a failed trial is a finding, not a crash
             failures.append(f"{f}: {exc}")
             continue

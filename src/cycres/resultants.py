@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -37,7 +37,6 @@ class ResultantSequence:
 
     values: tuple[GaussianRational, ...]
     is_abs: bool = False
-    source_degree: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.values:
@@ -355,7 +354,23 @@ def sequence(f: Polynomial, length: int) -> ResultantSequence:
                     companion=str(comp),
                 )
         values.append(value)
-    return ResultantSequence(tuple(values), is_abs=False, source_degree=f.degree)
+    return ResultantSequence(tuple(values), is_abs=False)
+
+
+def reproduces(f: Polynomial, target, use_abs: bool = False) -> bool:
+    """Whether the exact r_1..r_N of f equal target, N = len(target).
+
+    With use_abs every r_m must be real and |r_m| must equal target[m-1].
+    This is the acceptance test of every family member and every
+    reconstruction candidate.
+    """
+    target = tuple(target)
+    got = sequence(f, len(target)).values
+    if use_abs:
+        if not all(v.is_real() for v in got):
+            return False
+        got = tuple(GaussianRational(abs(v.re)) for v in got)
+    return got == target
 
 
 # ---------------------------------------------------------------------------
@@ -500,4 +515,4 @@ def abs_sequence(f: Polynomial, length: int) -> ResultantSequence:
                 "sign law produced a non-positive absolute value", m=m, value=str(v)
             )
         values.append(v)
-    return ResultantSequence(tuple(values), is_abs=True, source_degree=f.degree)
+    return ResultantSequence(tuple(values), is_abs=True)

@@ -138,6 +138,18 @@ class TestReconstruct:
         assert result.returncode == 1
         assert result.stderr.startswith("usage error:")
 
+    def test_dash_led_values_after_a_space(self, capsys):
+        # argparse reads "-3,5" as an option; it must parse as --values=-3,5
+        assert main(["reconstruct", "--degree", "1", "--values=-3,5"]) == 0
+        glued = capsys.readouterr().out
+        assert main(["reconstruct", "--degree", "1", "--values", "-3,5"]) == 0
+        assert capsys.readouterr().out == glued
+        assert json.loads(glued)["polynomial"] == "2/3*x+7/3"
+
+    def test_values_followed_by_a_flag_is_still_a_usage_error(self, capsys):
+        assert main(["reconstruct", "--degree", "1", "--values", "--abs"]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_general_cubic_returns_its_family(self):
         # a non-monic cubic is fixed by r_1..r_4 only up to its 2^(d-1) = 4
         # family members, and the Groebner route lists all of them
@@ -303,6 +315,18 @@ class TestPlumbing:
         result = run_cli("seq", "--poly", "x^10001-2", "--n", "1")
         assert result.returncode == 2
         assert json.loads(result.stdout)["code"] == "degree_guard"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equiv", "--poly=--"],
+            ["seq", "--poly", "x-2", "--n=--"],
+            ["reconstruct", "--degree", "1", "--values=--"],
+        ],
+    )
+    def test_double_dash_value_is_not_a_traceback(self, argv, capsys):
+        # argparse turns "--opt=--" into an empty list on some Python versions
+        assert main(argv) in (1, 2)
 
     def test_pretty_flag(self):
         result = run_cli("--pretty", "seq", "--poly", "x-2", "--n", "2")

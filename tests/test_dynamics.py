@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
 import random
 import warnings
 
 import pytest
 
+from cycres import dynamics
+from cycres.cli import main
 from cycres.dynamics import (
     IntegerMatrix,
     SpectrumToleranceWarning,
@@ -13,7 +18,7 @@ from cycres.dynamics import (
     spectrum_determined,
     zeta_series,
 )
-from cycres.errors import PreconditionError
+from cycres.errors import InternalCheckError, PreconditionError
 from cycres.genfun import exp_series
 from cycres.polycore import has_root_of_unity, parse
 from cycres.resultants import abs_sequence, cyclic_resultant
@@ -48,6 +53,27 @@ class TestCharPoly:
         for n in (1, 2, 3, 4):
             p = char_poly(random_matrix(rng, n))
             assert p.degree == n and p.is_monic()
+
+
+class TestCharPolyCheck:
+    # a trace that k does not divide is a bug in the recursion: with every
+    # product forced to trace 1, the k = 2 step has a remainder
+    @pytest.fixture
+    def odd_trace(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_mul", lambda a, b: [[1, 0], [0, 0]])
+
+    def test_raises_internal_check(self, odd_trace):
+        with pytest.raises(InternalCheckError):
+            char_poly(FIB_LIKE)
+
+    def test_cli_exits_2_with_json(self, odd_trace, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(FIB_LIKE.to_json()))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["zeta", "--matrix", str(path), "--order", "3"])
+        assert code == 2
+        assert json.loads(out.getvalue())["code"] == "internal_check"
 
 
 class TestErgodicity:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cycres import equivalence
 from cycres.equivalence import (
     EquivalenceFamily,
     equivalent_family,
@@ -14,6 +15,7 @@ from cycres.equivalence import (
     verify_same_resultants,
 )
 from cycres.errors import (
+    InternalCheckError,
     PreconditionError,
     RootOfUnityError,
     ZeroResultantError,
@@ -183,6 +185,22 @@ class TestRealFamily:
     def test_rejects_complex_input(self):
         with pytest.raises(PreconditionError):
             real_equivalent_family(Polynomial.from_roots([G(2, 1)]))
+
+
+class TestExactMemberFailure:
+    # an exact member is correct by construction, so a failed verification
+    # is a bug in the construction, never a member to drop quietly
+    @pytest.mark.parametrize(
+        "build, base",
+        [(equivalent_family, EXAMPLE_CUBIC), (real_equivalent_family, EXAMPLE_REAL)],
+    )
+    def test_wrong_member_raises(self, monkeypatch, build, base):
+        construct = equivalence._member_exact
+        monkeypatch.setattr(
+            equivalence, "_member_exact", lambda *args: 2 * construct(*args)
+        )
+        with pytest.raises(InternalCheckError):
+            build(base)
 
 
 class TestDegreeOne:

@@ -16,6 +16,7 @@ from cycres.resultants import (
     ResultantSequence,
     abs_sequence,
     cyclic_resultant,
+    reproduces,
     resultant,
     sequence,
     sign_data,
@@ -214,6 +215,26 @@ class TestSequenceKernel:
     def test_inexact_division_is_an_internal_error(self):
         with pytest.raises(InternalCheckError):
             resultants._exact_div(7, 2, m=1)
+
+
+class TestReproduces:
+    def test_exact_match(self):
+        assert reproduces(parse("x-2"), [1, 3, 7])
+
+    def test_mismatch(self):
+        assert not reproduces(parse("x-2"), [1, 3, 8])
+        assert not reproduces(parse("x+2"), [3, 3])
+
+    def test_absolute_match(self):
+        # r_m(x+2) = -3, 3: equal to 3, 3 only in absolute value
+        assert reproduces(parse("x+2"), [G(3), G(3)], use_abs=True)
+        assert not reproduces(parse("x+2"), [3, 4], use_abs=True)
+
+    def test_non_real_value_is_no_absolute_match(self):
+        f = parse("x-(2+1i)")  # r_1 = 1+i
+        assert sequence(f, 1)[1] == G(1, 1)
+        assert not reproduces(f, [G(1, 1)], use_abs=True)
+        assert reproduces(f, [G(1, 1)])
 
 
 class TestSignData:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .config import Config
 from .dynamics import IntegerMatrix, periodic_point_counts
-from .equivalence import equivalent_family, real_equivalent_family
+from .equivalence import DEFAULT_CHECK_LENGTH, equivalent_family, real_equivalent_family
 from .errors import CycResError
 from .gaussian import GaussianRational
 from .genfun import (
@@ -71,13 +71,19 @@ def _parse_rational_values(text: str) -> list[GaussianRational]:
     return out
 
 
+# Value options whose value may start with a dash, and what may follow it.
+_DASH_VALUES = {"--values": r"-[\d.]", "--poly": r"-[\dx(]"}
+
+
 def _glue_dash_values(argv: list[str]) -> list[str]:
-    """`--values -3,5` -> `--values=-3,5`: argparse reads a dash-led token
-    that is not a plain negative number as an option, not as the value."""
+    """`--values -3,5` -> `--values=-3,5`, `--poly -x+2` -> `--poly=-x+2`:
+    argparse reads a dash-led token that is not a plain negative number as
+    an option, not as the value."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--values" and re.match(r"-[\d.]", arg):
-            out[-1] = f"--values={arg}"
+        pattern = _DASH_VALUES.get(out[-1]) if out else None
+        if pattern and re.match(pattern, arg):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -116,7 +122,7 @@ def build_parser() -> _Parser:
     p.add_argument("--poly", required=True)
     p.add_argument("--real", action="store_true")
     p.add_argument("--l1", type=int, default=None)
-    p.add_argument("--check", type=int, default=10)
+    p.add_argument("--check", type=int, default=DEFAULT_CHECK_LENGTH)
 
     p = sub.add_parser("reconstruct", help="invert a resultant prefix")
     p.add_argument("--degree", required=True, type=int)
@@ -203,7 +209,7 @@ def _reconstruct_plain(args, cfg: Config, values) -> dict:
     )
     outcome = reconstruct(
         spec,
-        restarts=args.restarts or cfg.newton_restarts,
+        restarts=cfg.newton_restarts if args.restarts is None else args.restarts,
         seed=cfg.seed if args.seed is None else args.seed,
     )
     if outcome.polynomial is None:
@@ -228,6 +234,10 @@ def _reconstruct_plain(args, cfg: Config, values) -> dict:
 def _cmd_reconstruct(args, cfg: Config) -> dict:
     if args.degree < 0:
         raise _UsageError("--degree must be >= 0")
+    if args.restarts is not None and args.restarts < 1:
+        raise _UsageError("--restarts must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     values = _parse_rational_values(args.values)
     if args.use_abs:
         seq = ResultantSequence(tuple(values), is_abs=True)
@@ -285,6 +295,8 @@ def _cmd_conjecture(args, cfg: Config) -> dict:
         raise _UsageError("--degree must be >= 0")
     if args.trials < 0:
         raise _UsageError("--trials must be >= 0")
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     if args.seed is not None:
         seed = args.seed
     elif "CYCRES_SEED" in os.environ:

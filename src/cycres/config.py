@@ -8,11 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .reconstruct import DEFAULT_RESTARTS, DEFAULT_SEED
+
 
 @dataclass(frozen=True)
 class Config:
-    newton_restarts: int = 16
-    seed: int = 0
+    newton_restarts: int = DEFAULT_RESTARTS
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.newton_restarts <= 0:

@@ -6,9 +6,10 @@ the nonzero roots into the reversal part, subject to deg(u) = l2 - l1 mod 2.
 The real absolute-value variant allows any global sign but requires the
 subset to be closed under conjugation so the member stays real.
 
-Members are constructed from exact linear factors whenever the input splits
-over the Gaussian rationals; otherwise they are expanded numerically,
-rationalized, and kept only after exact re-verification of the sequence.
+Roots come from polycore.nonzero_roots, exact when the input splits over the
+Gaussian rationals and floats otherwise; one path groups and multiplies out
+either kind.  A float member is rationalized and kept only after exact
+re-verification of the sequence.
 """
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ from .gaussian import GaussianRational
 from .polycore import (
     Polynomial,
     has_root_of_unity,
+    nonzero_roots,
     rationalize,
     roots_numeric,
-    try_exact_roots,
 )
 from .resultants import reproduces, sequence
 
@@ -80,31 +81,26 @@ def _split_base(g: Polynomial, check_length: int):
     return l2, h, base_seq
 
 
-def _member_exact(lead, keep, flip, l1: int, sign: int) -> Polynomial:
-    v = Polynomial.from_roots(keep, lead)
-    if flip:
-        u_rev = Polynomial.from_roots(flip).reversal()
-    else:
-        u_rev = Polynomial.one()
-    member = v * u_rev * Polynomial.x(l1) if l1 else v * u_rev
-    return member if sign == 1 else -member
-
-
-def _member_float(lead, keep, flip, l1: int, sign: int) -> list[complex]:
-    coeffs = [complex(lead)]
+def _member_coeffs(lead, keep, flip, l1: int, sign: int) -> list:
+    """Coefficients, constant term first, of
+    sign * x^l1 * lead * prod(x - a for a in keep) * prod(1 - a*x for a in flip),
+    computed in whatever arithmetic lead and the roots carry."""
+    zero = lead - lead
+    coeffs = [lead]
     for alpha in keep:
-        # multiply by (x - alpha)
-        coeffs = [0j] + coeffs
+        coeffs = [zero] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] -= alpha * coeffs[i + 1]
     for alpha in flip:
-        # multiply by (1 - alpha x)
-        new = coeffs + [0j]
+        new = coeffs + [zero]
         for i in range(len(coeffs)):
             new[i + 1] -= alpha * coeffs[i]
         coeffs = new
-    coeffs = [0j] * l1 + coeffs
-    return [sign * c for c in coeffs]
+    return [sign * c for c in [zero] * l1 + coeffs]
+
+
+def _member_exact(lead, keep, flip, l1: int, sign: int) -> Polynomial:
+    return Polynomial(_member_coeffs(lead, keep, flip, l1, sign))
 
 
 def _subset_choice(roots, subset):
@@ -131,8 +127,8 @@ def equivalent_member(
     l2, h, _ = _split_base(g, 1)
     if l1 is None:
         l1 = l2
-    roots = try_exact_roots(h)
-    if roots is None:
+    _, _, roots, exact = nonzero_roots(h)
+    if not exact:
         raise PreconditionError("base polynomial does not split exactly")
     if len(subset) % 2 != (l2 - l1) % 2:
         raise PreconditionError("subset size violates the parity constraint")
@@ -177,23 +173,20 @@ def _family(
     if d > SUBSET_SCAN_LIMIT:
         raise DegreeGuardError("root-subset enumeration is exponential", degree=d)
 
-    roots = try_exact_roots(h)
-    exact = roots is not None
-    if not exact:
-        roots = roots_numeric(h)
+    _, _, roots, exact = nonzero_roots(h)
     if use_abs:
-        group = _conjugation_orbits_exact if exact else _conjugation_orbits_numeric
-        choices = _orbit_choices(group(roots))
+        choices = _orbit_choices(_conjugation_orbits(roots, exact))
     else:
         choices = _parity_subsets(roots, (l2 - l1) % 2)
 
+    lead = h.leading if exact else complex(h.leading)
     found: dict[Polynomial, SubsetRecord] = {}
     unverified: list[tuple[complex, ...]] = []
     for flip, keep, sign in choices:
         if exact:
-            member = _member_exact(h.leading, keep, flip, l1, sign)
+            member = _member_exact(lead, keep, flip, l1, sign)
         else:
-            floats = _member_float(h.leading, keep, flip, l1, sign)
+            floats = _member_coeffs(lead, keep, flip, l1, sign)
             member = Polynomial([rationalize(c) for c in floats])
             if use_abs and not member.is_real():
                 member = Polynomial([GaussianRational(c.re) for c in member.coeffs])
@@ -222,68 +215,34 @@ def _family(
 # ---------------------------------------------------------------------------
 
 
-def _conjugation_orbits_exact(roots):
-    """Group exact roots into conjugation orbits with multiplicity."""
-    counts: dict = {}
-    order = []
+def _conjugation_orbits(roots, exact: bool, tol: float = 1e-9):
+    """Group roots into conjugation orbits with multiplicity: [(orbit, mult)]
+    in order of first appearance, orbit being (r,) for a real root and
+    (r, its conjugate) otherwise.  Float roots compare within tol."""
+    def same(a, b):
+        return a == b if exact else abs(a - b) <= tol
+
+    distinct: list[list] = []  # [root, multiplicity]
     for r in roots:
-        if r not in counts:
-            counts[r] = 0
-            order.append(r)
-        counts[r] += 1
-    orbits = []  # (tuple of roots per copy, multiplicity)
-    used = set()
-    for r in order:
-        if r in used:
-            continue
-        if r.is_real():
-            orbits.append(((r,), counts[r]))
-            used.add(r)
-        else:
-            conj = r.conjugate()
-            if counts.get(conj) != counts[r]:
-                raise PreconditionError(
-                    "complex roots of a real polynomial must pair by conjugation"
-                )
-            orbits.append(((r, conj), counts[r]))
-            used.add(r)
-            used.add(conj)
-    return orbits
-
-
-def _conjugation_orbits_numeric(roots, tol: float = 1e-9):
-    orbits = []
-    remaining = list(roots)
-    while remaining:
-        r = remaining.pop(0)
-        if abs(r.imag) <= tol:
-            orbits.append(((r,), 1))
-            continue
-        partner = None
-        for i, s in enumerate(remaining):
-            if abs(s - r.conjugate()) <= tol:
-                partner = i
+        for entry in distinct:
+            if same(entry[0], r):
+                entry[1] += 1
                 break
-        if partner is None:
+        else:
+            distinct.append([r, 1])
+    orbits = []
+    while distinct:
+        r, mult = distinct.pop(0)
+        if r.is_real() if exact else abs(r.imag) <= tol:
+            orbits.append(((r,), mult))
+            continue
+        i = next((i for i, (s, _) in enumerate(distinct) if same(s, r.conjugate())), None)
+        if i is None or distinct[i][1] != mult:
             raise PreconditionError(
                 "complex roots of a real polynomial must pair by conjugation"
             )
-        orbits.append(((r, remaining.pop(partner)), 1))
-    merged: list = []
-    for orbit, _ in orbits:
-        for i, (existing, mult) in enumerate(merged):
-            if len(existing) == len(orbit) and all(
-                abs(a - b) <= tol for a, b in zip(sorted_complex(existing), sorted_complex(orbit))
-            ):
-                merged[i] = (existing, mult + 1)
-                break
-        else:
-            merged.append((orbit, 1))
-    return merged
-
-
-def sorted_complex(values):
-    return sorted(values, key=lambda z: (z.real, z.imag))
+        orbits.append(((r, distinct.pop(i)[0]), mult))
+    return orbits
 
 
 def _orbit_choices(orbits):

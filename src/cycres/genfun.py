@@ -25,7 +25,7 @@ from .errors import (
 )
 from .gaussian import GaussianRational, gaussian_factorization
 from .groupring import BinomialProduct, FgAbelianGroup, GroupElement
-from .polycore import Polynomial, has_root_of_unity, roots_numeric, try_exact_roots
+from .polycore import Polynomial, has_root_of_unity, nonzero_roots, roots_numeric
 from .resultants import ResultantSequence, sign_data
 
 CLUSTER_TOL = 1e-7
@@ -317,17 +317,6 @@ class DivisorContext:
         return labels
 
 
-def _nonzero_root_values(f: Polynomial):
-    """(l, lead, values): zero-root multiplicity, leading coefficient, and the
-    nonzero roots with multiplicity, exact when f splits over the Gaussian
-    rationals and complex floats otherwise."""
-    l, h = f.strip_zero_roots()
-    exact = try_exact_roots(h)
-    if exact is not None:
-        return l, h.leading, list(exact)
-    return l, h.leading, roots_numeric(h)
-
-
 def divisor(f: Polynomial, context: DivisorContext | None = None) -> BinomialProduct:
     """Divisor of the resultant generating function as a binomial product.
 
@@ -356,8 +345,8 @@ def _register_divisor_values(ctx: DivisorContext, f: Polynomial):
         raise ZeroPolynomialError("zero polynomial")
     if has_root_of_unity(f):
         raise RootOfUnityError("divisor undefined with a root of unity")
-    l, lead, roots = _nonzero_root_values(f)
-    lead_entry = ctx.register(lead)
+    l, h, roots, _ = nonzero_roots(f)
+    lead_entry = ctx.register(h.leading)
     root_entries = [ctx.register(r) for r in roots]
     return l, lead_entry, root_entries
 

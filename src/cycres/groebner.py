@@ -16,7 +16,7 @@ import itertools
 
 from .errors import InternalCheckError, UnderdeterminedError
 from .gaussian import GaussianRational
-from .polycore import Polynomial, poly_gcd, rationalize, roots_numeric
+from .polycore import Polynomial, exact_univariate_roots, poly_gcd
 
 
 class MultiPoly:
@@ -345,26 +345,6 @@ def is_unit_ideal(basis: list[MultiPoly]) -> bool:
 # ---------------------------------------------------------------------------
 # back substitution for zero-dimensional systems
 # ---------------------------------------------------------------------------
-
-
-def exact_univariate_roots(p: Polynomial) -> list[GaussianRational]:
-    """All Gaussian-rational roots of an exact univariate polynomial.
-
-    Numeric roots are rationalized and kept only when they satisfy the
-    polynomial exactly, so no spurious root survives and only roots with
-    denominator beyond the rationalization bound can be missed.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return []
-    found: list[GaussianRational] = []
-    for z in roots_numeric(p):
-        cand = rationalize(z)
-        if p.evaluate(cand).is_zero() and cand not in found:
-            found.append(cand)
-    found.sort(key=lambda g: g.sort_key())
-    return found
 
 
 def solve_triangular(

@@ -2,8 +2,11 @@
 
 Coefficients are stored in ascending degree order (index i holds the
 coefficient of x^i) with the last entry nonzero; the zero polynomial is the
-empty tuple.  All arithmetic is exact.  Floating point enters only through
-:func:`roots_numeric` and comes back only through :func:`rationalize`.
+empty tuple.  All arithmetic is exact.  Roots are found here: floating
+point enters only through the Aberth iteration and comes back only through
+one rationalize-and-verify loop, which keeps a rationalized root only when it
+is an exact root.  :func:`nonzero_roots` makes the one choice between exact
+roots and float roots; cycres.equivalence groups and multiplies out either.
 """
 from __future__ import annotations
 
@@ -475,25 +478,51 @@ def rationalize(
     )
 
 
-def try_exact_roots(f: Polynomial) -> list[GaussianRational] | None:
-    """Roots with multiplicity as exact Gaussian rationals, or None.
+def _rational_roots(factor: Polynomial) -> list[GaussianRational]:
+    """The numeric roots of a square-free factor, rationalized, that are
+    distinct exact roots of it: all of its roots exactly when it splits."""
+    found: list[GaussianRational] = []
+    for z in _aberth([complex(c) for c in factor.coeffs], 1e-12):
+        cand = rationalize(z)
+        if cand not in found and factor.evaluate(cand).is_zero():
+            found.append(cand)
+    return found
 
-    Numeric roots of each square-free factor are rationalized and accepted
-    only when the rebuilt product of linear factors reproduces the factor
-    exactly.
-    """
+
+def try_exact_roots(f: Polynomial) -> list[GaussianRational] | None:
+    """Roots with multiplicity as exact Gaussian rationals, or None."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial")
     out: list[GaussianRational] = []
     for factor, mult in square_free_decomposition(f):
-        candidates = [
-            rationalize(z) for z in _aberth([complex(c) for c in factor.coeffs], 1e-12)
-        ]
-        if Polynomial.from_roots(candidates) != factor:
+        found = _rational_roots(factor)
+        if len(found) < factor.degree:
             return None
-        for root in candidates:
+        for root in found:
             out.extend([root] * mult)
     return out
+
+
+def exact_univariate_roots(p: Polynomial) -> list[GaussianRational]:
+    """The distinct Gaussian-rational roots of p, sorted.  Only roots with
+    denominators beyond the rationalization bound can be missed."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    zero_mult, h = p.strip_zero_roots()
+    found = {r for factor, _ in square_free_decomposition(h) for r in _rational_roots(factor)}
+    if zero_mult:
+        found.add(GaussianRational(0))
+    return sorted(found, key=GaussianRational.sort_key)
+
+
+def nonzero_roots(f: Polynomial):
+    """(l, h, roots, exact): f = x^l * h with h(0) != 0, and the roots of h
+    with multiplicity, exact when h splits over the Gaussian rationals and
+    complex floats otherwise."""
+    l, h = f.strip_zero_roots()
+    roots = try_exact_roots(h)
+    exact = roots is not None
+    return l, h, roots if exact else roots_numeric(h), exact
 
 
 # ---------------------------------------------------------------------------

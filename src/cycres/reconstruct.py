@@ -590,7 +590,8 @@ def reconstruct(
     seed: int = DEFAULT_SEED,
 ) -> ReconstructionOutcome:
     """Route a reconstruction request; "auto" falls through closed form,
-    Groebner (degree <= 3), then the numeric solver."""
+    Groebner (degree <= 3), then the numeric solver, and raises the first
+    route's failure when none answers."""
     if spec.method == "closed":
         poly = invert_closed(spec.values, spec.degree, spec.shape)
         return ReconstructionOutcome(poly, "closed", True)
@@ -613,34 +614,22 @@ def reconstruct(
             result.verified,
             float_coeffs=result.float_coeffs,
         )
-    failures: list[Exception] = []
-    if _closed_form_applies(spec):
-        try:
-            return reconstruct(
-                ReconstructionSpec(spec.degree, spec.shape, spec.values, "closed"),
-                restarts,
-                seed,
-            )
-        except CycResError as exc:
-            failures.append(exc)
+    routes = ["closed"] if _closed_form_applies(spec) else []
     if spec.degree <= GROEBNER_DEGREE_LIMIT:
+        routes.append("groebner")
+    routes.append("newton")
+    first_failure = None
+    for method in routes:
         try:
             return reconstruct(
-                ReconstructionSpec(spec.degree, spec.shape, spec.values, "groebner"),
+                ReconstructionSpec(spec.degree, spec.shape, spec.values, method),
                 restarts,
                 seed,
             )
         except CycResError as exc:
-            failures.append(exc)
-    try:
-        return reconstruct(
-            ReconstructionSpec(spec.degree, spec.shape, spec.values, "newton"),
-            restarts,
-            seed,
-        )
-    except CycResError as exc:
-        failures.append(exc)
-        raise failures[0]
+            if first_failure is None:
+                first_failure = exc
+    raise first_failure
 
 
 # ---------------------------------------------------------------------------

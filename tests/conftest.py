@@ -1,9 +1,18 @@
 """Shared randomized-construction helpers for the suite."""
+import os
+import pathlib
 import random
 
 from cycres.gaussian import GaussianRational as G
 from cycres.groupring import BinomialProduct, FgAbelianGroup
 from cycres.polycore import Polynomial, has_root_of_unity
+
+# The CLI tests also run `python -m cycres.cli` in a child process, which does
+# not see pytest's `pythonpath` setting, so the source tree goes on its path.
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def random_poly_without_unity(rng, max_degree, lo=-9, hi=9, monic=False):

@@ -150,6 +150,17 @@ class TestReconstruct:
         assert main(["reconstruct", "--degree", "1", "--values", "--abs"]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
+    @pytest.mark.parametrize("restarts", ["0", "-5"])
+    def test_restarts_below_one_is_usage_error(self, restarts, capsys):
+        argv = ["reconstruct", "--degree", "1", "--values=1,5", "--restarts", restarts]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        argv = ["reconstruct", "--degree", "1", "--values=1,5", "--seed", "-4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_general_cubic_returns_its_family(self):
         # a non-monic cubic is fixed by r_1..r_4 only up to its 2^(d-1) = 4
         # family members, and the Groebner route lists all of them
@@ -295,6 +306,10 @@ class TestConjecture:
         assert result.returncode == 1
         assert result.stderr.startswith("usage error:")
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["conjecture", "--degree", "2", "--trials", "1", "--seed", "-4"]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
 
 class TestPlumbing:
     def test_usage_error_exit_1(self):
@@ -327,6 +342,22 @@ class TestPlumbing:
     def test_double_dash_value_is_not_a_traceback(self, argv, capsys):
         # argparse turns "--opt=--" into an empty list on some Python versions
         assert main(argv) in (1, 2)
+
+    @pytest.mark.parametrize(
+        "command, poly, rest",
+        [
+            ("seq", "-x+2", ["--n", "3"]),
+            ("equiv", "-x^2+5*x-6", []),
+            ("genfun", "-x+3", []),
+            ("genfun", "-(1+2i)*x+3", ["--order", "2"]),
+        ],
+    )
+    def test_dash_led_poly_after_a_space(self, command, poly, rest, capsys):
+        # argparse reads "-x+2" as an option; it must parse as --poly=-x+2
+        assert main([command, f"--poly={poly}", *rest]) == 0
+        glued = capsys.readouterr().out
+        assert main([command, "--poly", poly, *rest]) == 0
+        assert capsys.readouterr().out == glued
 
     def test_pretty_flag(self):
         result = run_cli("--pretty", "seq", "--poly", "x-2", "--n", "2")

@@ -203,6 +203,28 @@ class TestExactMemberFailure:
             build(base)
 
 
+class TestExactAndNumericPathsAgree:
+    # the numeric path multiplies out float roots and rationalizes; on a
+    # base that splits it must rebuild exactly the members the exact path
+    # builds from Gaussian-rational roots, and verify every one of them
+    def test_random_split_bases(self, monkeypatch):
+        from cycres import polycore
+
+        rng = random.Random(6)
+        bases = []
+        for _ in range(20):
+            roots = rng.sample([-6, -5, -4, -3, -2, 2, 3, 4, 5, 6], rng.randint(2, 4))
+            bases.append(Polynomial.from_roots([G(r) for r in roots], rng.choice([1, 2, -3])))
+        exact = [(equivalent_family(g), real_equivalent_family(g)) for g in bases]
+        monkeypatch.setattr(polycore, "try_exact_roots", lambda f: None)
+        for g, (plain, real) in zip(bases, exact):
+            assert polycore.nonzero_roots(g)[3] is False
+            for build, want in ((equivalent_family, plain), (real_equivalent_family, real)):
+                got = build(g)
+                assert got.members == want.members, format_poly(g)
+                assert got.unverified == ()
+
+
 class TestDegreeOne:
     def test_family_is_singleton(self):
         fam = equivalent_family(parse("3*x-2"))

@@ -108,3 +108,23 @@ def test_reconstruct(degree, values, glued, extra, method):
         ["reconstruct", "--degree", str(degree), *value_args, *extra,
          "--method", method, "--restarts", "2"]
     )
+
+
+def output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    return code, out.getvalue()
+
+
+@FUZZ
+@given(
+    st.lists(terms, min_size=1, max_size=4).map("+".join),
+    st.sampled_from([["seq", "--n", "3"], ["equiv"], ["genfun", "--order", "2"]]),
+)
+def test_dash_led_poly_after_a_space(poly, command):
+    # a value that starts with a dash reads the same after a space as after "="
+    poly = poly if poly.startswith("-") else "-" + poly
+    name, *rest = command
+    assert output([name, "--poly", poly, *rest]) == output([name, f"--poly={poly}", *rest])

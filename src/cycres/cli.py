@@ -26,6 +26,8 @@ from .genfun import (
 from .groupring import BinomialProduct, FgAbelianGroup, match_factorizations
 from .polycore import Polynomial, format_poly, parse
 from .reconstruct import (
+    AUTO,
+    METHODS,
     Disambiguation,
     ReconstructionSpec,
     conjecture_harness,
@@ -71,8 +73,9 @@ def _parse_rational_values(text: str) -> list[GaussianRational]:
     return out
 
 
-# Value options whose value may start with a dash, and what may follow it.
-_DASH_VALUES = {"--values": r"-[\d.]", "--poly": r"-[\dx(]"}
+# Value options whose value may start with a dash (--poly: any number of
+# them), and how such a value starts.
+_DASH_VALUES = {"--values": r"-[\d.]", "--poly": r"-+[\dx(]"}
 
 
 def _glue_dash_values(argv: list[str]) -> list[str]:
@@ -87,6 +90,15 @@ def _glue_dash_values(argv: list[str]) -> list[str]:
         else:
             out.append(arg)
     return out
+
+
+# Lower bounds of integer flags, checked in this order once the config loads.
+_FLAG_BOUNDS = {"degree": 0, "order": 0, "trials": 0, "restarts": 1, "seed": 0}
+
+
+def _check_bound(name: str, value, low: int) -> None:
+    if value is not None and value < low:
+        raise _UsageError(f"{name} must be >= {low}")
 
 
 def _emit(payload: dict, pretty: bool) -> str:
@@ -109,6 +121,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seq", help="cyclic-resultant sequence of a polynomial")
+    p.set_defaults(handler=_cmd_seq)
     p.add_argument("--poly", required=True)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--abs", action="store_true", dest="use_abs")
@@ -119,12 +132,14 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("equiv", help="family sharing the (absolute) sequence")
+    p.set_defaults(handler=_cmd_equiv)
     p.add_argument("--poly", required=True)
     p.add_argument("--real", action="store_true")
     p.add_argument("--l1", type=int, default=None)
     p.add_argument("--check", type=int, default=DEFAULT_CHECK_LENGTH)
 
     p = sub.add_parser("reconstruct", help="invert a resultant prefix")
+    p.set_defaults(handler=_cmd_reconstruct)
     p.add_argument("--degree", required=True, type=int)
     p.add_argument("--values", required=True)
     p.add_argument("--abs", action="store_true", dest="use_abs")
@@ -132,27 +147,31 @@ def build_parser() -> _Parser:
     p.add_argument("--reciprocal", action="store_true")
     p.add_argument(
         "--method",
-        choices=["closed", "groebner", "newton", "auto"],
-        default="auto",
+        choices=METHODS,
+        default=AUTO,
     )
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("zeta", help="periodic-point zeta series of an integer matrix")
+    p.set_defaults(handler=_cmd_zeta)
     p.add_argument("--matrix", required=True, help="path to matrix JSON")
     p.add_argument("--order", required=True, type=int)
 
     p = sub.add_parser("grcheck", help="match two group-ring binomial products")
+    p.set_defaults(handler=_cmd_grcheck)
     p.add_argument("--group", required=True, help='e.g. "rank=2;torsion=3"')
     p.add_argument("--left", required=True, help="product JSON or @file")
     p.add_argument("--right", required=True, help="product JSON or @file")
 
     p = sub.add_parser("genfun", help="generating function of the sequence")
+    p.set_defaults(handler=_cmd_genfun)
     p.add_argument("--poly", required=True)
     p.add_argument("--abs", action="store_true", dest="use_abs")
     p.add_argument("--order", type=int, default=None)
 
     p = sub.add_parser("conjecture", help="empirical d+1-prefix reconstruction harness")
+    p.set_defaults(handler=_cmd_conjecture)
     p.add_argument("--degree", required=True, type=int)
     p.add_argument("--trials", required=True, type=int)
     p.add_argument("--seed", type=int, default=None)
@@ -163,7 +182,7 @@ def _poly_payload(p: Polynomial) -> dict:
     return {"poly": format_poly(p), "coeffs": p.to_json()["coeffs"]}
 
 
-def _cmd_seq(args) -> dict:
+def _cmd_seq(args, cfg: Config) -> dict:
     f = parse(args.poly)
     seq = abs_sequence(f, args.n) if args.use_abs else sequence(f, args.n)
     if args.exact_json:
@@ -174,7 +193,7 @@ def _cmd_seq(args) -> dict:
     }
 
 
-def _cmd_equiv(args) -> dict:
+def _cmd_equiv(args, cfg: Config) -> dict:
     g = parse(args.poly)
     if args.real:
         family = real_equivalent_family(g, check_length=args.check)
@@ -232,12 +251,6 @@ def _reconstruct_plain(args, cfg: Config, values) -> dict:
 
 
 def _cmd_reconstruct(args, cfg: Config) -> dict:
-    if args.degree < 0:
-        raise _UsageError("--degree must be >= 0")
-    if args.restarts is not None and args.restarts < 1:
-        raise _UsageError("--restarts must be >= 1")
-    if args.seed is not None and args.seed < 0:
-        raise _UsageError("--seed must be >= 0")
     values = _parse_rational_values(args.values)
     if args.use_abs:
         seq = ResultantSequence(tuple(values), is_abs=True)
@@ -256,9 +269,7 @@ def _cmd_reconstruct(args, cfg: Config) -> dict:
     return _reconstruct_plain(args, cfg, values)
 
 
-def _cmd_zeta(args) -> dict:
-    if args.order < 0:
-        raise _UsageError("--order must be >= 0")
+def _cmd_zeta(args, cfg: Config) -> dict:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         matrix = IntegerMatrix.from_json(json.load(fh))
     counts = periodic_point_counts(matrix, args.order)
@@ -269,7 +280,7 @@ def _cmd_zeta(args) -> dict:
     }
 
 
-def _cmd_grcheck(args) -> dict:
+def _cmd_grcheck(args, cfg: Config) -> dict:
     group = FgAbelianGroup.parse_spec(args.group)
     left = BinomialProduct.from_json(group, _load_json_arg(args.left))
     right = BinomialProduct.from_json(group, _load_json_arg(args.right))
@@ -279,9 +290,7 @@ def _cmd_grcheck(args) -> dict:
     return match.to_json()
 
 
-def _cmd_genfun(args) -> dict:
-    if args.order is not None and args.order < 0:
-        raise _UsageError("--order must be >= 0")
+def _cmd_genfun(args, cfg: Config) -> dict:
     f = parse(args.poly)
     rep = abs_generating_function(f) if args.use_abs else generating_function(f)
     payload = {"rep": rep.to_json()}
@@ -291,16 +300,11 @@ def _cmd_genfun(args) -> dict:
 
 
 def _cmd_conjecture(args, cfg: Config) -> dict:
-    if args.degree < 0:
-        raise _UsageError("--degree must be >= 0")
-    if args.trials < 0:
-        raise _UsageError("--trials must be >= 0")
-    if args.seed is not None and args.seed < 0:
-        raise _UsageError("--seed must be >= 0")
     if args.seed is not None:
         seed = args.seed
     elif "CYCRES_SEED" in os.environ:
         seed = int(os.environ["CYCRES_SEED"])
+        _check_bound("CYCRES_SEED", seed, _FLAG_BOUNDS["seed"])
     else:
         seed = cfg.seed
     report = conjecture_harness(args.degree, args.trials, seed=seed)
@@ -324,22 +328,9 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = Config.load(args.config) if args.config else Config()
-        if args.command == "seq":
-            payload = _cmd_seq(args)
-        elif args.command == "equiv":
-            payload = _cmd_equiv(args)
-        elif args.command == "reconstruct":
-            payload = _cmd_reconstruct(args, cfg)
-        elif args.command == "zeta":
-            payload = _cmd_zeta(args)
-        elif args.command == "grcheck":
-            payload = _cmd_grcheck(args)
-        elif args.command == "genfun":
-            payload = _cmd_genfun(args)
-        elif args.command == "conjecture":
-            payload = _cmd_conjecture(args, cfg)
-        else:  # pragma: no cover
-            raise _UsageError(f"unknown command {args.command}")
+        for name, low in _FLAG_BOUNDS.items():
+            _check_bound(f"--{name}", getattr(args, name, None), low)
+        payload = args.handler(args, cfg)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

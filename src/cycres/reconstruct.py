@@ -3,7 +3,7 @@
 Three routes, in increasing generality:
 
 * printed closed forms for degree 1 (general), degrees 2 and 3 (monic) and
-  the degree-6 monic reciprocal, verified by exact resequencing;
+  the degree-6 monic reciprocal (CLOSED_FORMS);
 * a lexicographic Groebner basis of the system { r_m - Res(f, x^m - 1) } with
   symbolic coefficients, solved by back substitution (degree <= 3);
 * a damped Gauss-Newton iteration on the numeric root-product map, with
@@ -49,6 +49,7 @@ GROEBNER_DEGREE_LIMIT = 3
 NEWTON_MAX_ITER = 60
 DEFAULT_RESTARTS = 16
 DEFAULT_SEED = 0
+AUTO = "auto"
 
 
 def _values_list(values) -> list[GaussianRational]:
@@ -57,16 +58,13 @@ def _values_list(values) -> list[GaussianRational]:
     return [GaussianRational.of(v) for v in values]
 
 
-def _verify_resequence(candidate: Polynomial, values, what: str):
+def _require(values, count: int, **context) -> list[GaussianRational]:
     vals = _values_list(values)
-    got = sequence(candidate, len(vals)).values
-    if tuple(got) != tuple(vals):
-        raise VerificationError(
-            f"{what} reproduced different resultants",
-            candidate=str(candidate),
-            expected=[str(v) for v in vals],
-            got=[str(v) for v in got],
+    if len(vals) < count:
+        raise PreconditionError(
+            "not enough resultant values", needed=count, got=len(vals), **context
         )
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -87,75 +85,47 @@ def _linear_lead_squared_variant(r1, r2):
     return (r2 * r2 - r1) / (2 * r1)
 
 
-def _require(values, count: int, d: int):
-    vals = _values_list(values)
-    if len(vals) < count:
-        raise PreconditionError(
-            "not enough resultant values", needed=count, got=len(vals), degree=d
+def _linear(r1, r2) -> Polynomial:
+    if r1.is_zero():
+        raise DegenerateInputError("denominator 2*r_1 vanishes", denominator="2*r_1")
+    a0 = _linear_lead(r1, r2)
+    a1 = (-r1 * r1 - r2) / (2 * r1)
+    if a0.is_zero():
+        raise DegenerateInputError(
+            "recovered leading coefficient is zero", denominator="lead"
         )
-    return vals
+    return Polynomial([a1, a0])
 
 
-def invert_closed(values, d: int, shape: str = "monic") -> Polynomial:
-    """Closed-form inversion for the printed small cases.
-
-    Supported: d=1 general (2 values), d=2 monic (2), d=3 monic (4), and
-    d=6 monic reciprocal (4).  A vanishing formula denominator raises a
-    degenerate-input error naming it; every answer is re-sequenced exactly
-    before being returned.
-    """
-    if shape == "general" and d == 1:
-        r1, r2 = _require(values, 2, d)[:2]
-        if r1.is_zero():
-            raise DegenerateInputError("denominator 2*r_1 vanishes", denominator="2*r_1")
-        a0 = _linear_lead(r1, r2)
-        a1 = (-r1 * r1 - r2) / (2 * r1)
-        if a0.is_zero():
-            raise DegenerateInputError(
-                "recovered leading coefficient is zero", denominator="lead"
-            )
-        candidate = Polynomial([a1, a0])
-        _verify_resequence(candidate, values, "linear closed form")
-        return candidate
-    if shape == "monic" and d == 2:
-        r1, r2 = _require(values, 2, d)[:2]
-        if r1.is_zero():
-            raise DegenerateInputError("denominator 2*r_1 vanishes", denominator="2*r_1")
-        a1 = (r1 * r1 - r2) / (2 * r1)
-        a2 = (r1 * r1 - 2 * r1 + r2) / (2 * r1)
-        candidate = Polynomial([a2, a1, 1])
-        _verify_resequence(candidate, values, "quadratic closed form")
-        return candidate
-    if shape == "monic" and d == 3:
-        r1, r2, r3, r4 = _require(values, 4, d)[:4]
-        if r1.is_zero() or r2.is_zero():
-            raise DegenerateInputError(
-                "denominator 24*r_2*r_1^2 vanishes", denominator="24*r_2*r_1^2"
-            )
-        a1 = (
-            -12 * r2 * r1**3
-            - 12 * r1 * r2**2
-            + 3 * r2**3
-            - r2 * r1**4
-            - 8 * r2 * r1 * r3
-            + 6 * r1**2 * r4
-        ) / (24 * r2 * r1**2)
-        a2 = (-r1 * r1 - 2 * r1 + r2) / (2 * r1)
-        a3 = (
-            -3 * r2**3 + r2 * r1**4 + 8 * r2 * r1 * r3 - 6 * r1**2 * r4
-        ) / (24 * r1**2 * r2)
-        candidate = Polynomial([a3, a2, a1, 1])
-        _verify_resequence(candidate, values, "cubic closed form")
-        return candidate
-    if shape == "monic-reciprocal" and d == 6:
-        return _invert_sextic_reciprocal(values)
-    raise PreconditionError(
-        "no closed form for this degree/shape", degree=d, shape=shape
-    )
+def _quadratic(r1, r2) -> Polynomial:
+    if r1.is_zero():
+        raise DegenerateInputError("denominator 2*r_1 vanishes", denominator="2*r_1")
+    a1 = (r1 * r1 - r2) / (2 * r1)
+    a2 = (r1 * r1 - 2 * r1 + r2) / (2 * r1)
+    return Polynomial([a2, a1, 1])
 
 
-def _invert_sextic_reciprocal(values) -> Polynomial:
-    r1, r2, r3, r4 = _require(values, 4, 6)[:4]
+def _cubic(r1, r2, r3, r4) -> Polynomial:
+    if r1.is_zero() or r2.is_zero():
+        raise DegenerateInputError(
+            "denominator 24*r_2*r_1^2 vanishes", denominator="24*r_2*r_1^2"
+        )
+    a1 = (
+        -12 * r2 * r1**3
+        - 12 * r1 * r2**2
+        + 3 * r2**3
+        - r2 * r1**4
+        - 8 * r2 * r1 * r3
+        + 6 * r1**2 * r4
+    ) / (24 * r2 * r1**2)
+    a2 = (-r1 * r1 - 2 * r1 + r2) / (2 * r1)
+    a3 = (
+        -3 * r2**3 + r2 * r1**4 + 8 * r2 * r1 * r3 - 6 * r1**2 * r4
+    ) / (24 * r1**2 * r2)
+    return Polynomial([a3, a2, a1, 1])
+
+
+def _sextic_reciprocal(r1, r2, r3, r4) -> Polynomial:
     if r1.is_zero():
         raise DegenerateInputError("denominator 4*r_1 vanishes", denominator="4*r_1")
     p_num = (
@@ -200,8 +170,41 @@ def _invert_sextic_reciprocal(values) -> Polynomial:
     a1 = p_num / (192 * q_den)
     a2 = (-4 * r1 + r1 * r1 + r2) / (4 * r1)
     a3 = -r_num / (96 * q_den)
-    candidate = Polynomial([1, a1, a2, a3, a2, a1, 1])
-    _verify_resequence(candidate, values, "sextic reciprocal closed form")
+    return Polynomial([1, a1, a2, a3, a2, a1, 1])
+
+
+# (shape, degree) -> (values read, formula, name in errors)
+CLOSED_FORMS = {
+    ("general", 1): (2, _linear, "linear closed form"),
+    ("monic", 2): (2, _quadratic, "quadratic closed form"),
+    ("monic", 3): (4, _cubic, "cubic closed form"),
+    ("monic-reciprocal", 6): (4, _sextic_reciprocal, "sextic reciprocal closed form"),
+}
+
+
+def invert_closed(values, d: int, shape: str = "monic") -> Polynomial:
+    """Closed-form inversion for the printed small cases in CLOSED_FORMS:
+    d=1 general, d=2 and d=3 monic, and d=6 monic reciprocal.
+
+    A vanishing formula denominator raises a degenerate-input error naming
+    it; an answer that does not reproduce every given value raises
+    VerificationError.
+    """
+    entry = CLOSED_FORMS.get((shape, d))
+    if entry is None:
+        raise PreconditionError(
+            "no closed form for this degree/shape", degree=d, shape=shape
+        )
+    count, formula, name = entry
+    vals = _require(values, count, degree=d)
+    candidate = formula(*vals[:count])
+    if not reproduces(candidate, vals):
+        raise VerificationError(
+            f"{name} reproduced different resultants",
+            candidate=str(candidate),
+            expected=[str(v) for v in vals],
+            got=[str(v) for v in sequence(candidate, len(vals)).values],
+        )
     return candidate
 
 
@@ -253,13 +256,8 @@ def invert_groebner(values, d: int, monic: bool = True) -> list[Polynomial]:
         raise DegreeGuardError(
             "symbolic route is desk-scale only", degree=d, limit=GROEBNER_DEGREE_LIMIT
         )
-    vals = _values_list(values)
-    minimum = d if monic else d + 1
-    if len(vals) < minimum:
-        raise PreconditionError(
-            "not enough resultant values", needed=minimum, got=len(vals)
-        )
     nvars = d if monic else d + 1
+    vals = _require(values, nvars)
     gens = [
         symbolic_cyclic_resultant(d, m, monic) - vals[m - 1]
         for m in range(1, min(len(vals), GROEBNER_EQUATION_LIMIT) + 1)
@@ -314,11 +312,12 @@ def _float_resultants(asc: list[float], count: int) -> list[float] | None:
     return out
 
 
-def _solve_normal_equations(jac, resid):
-    """Least-squares step from J and residual via the normal equations."""
-    k = len(jac[0])
-    ata = [[sum(jac[r][i] * jac[r][j] for r in range(len(jac))) for j in range(k)] for i in range(k)]
-    atb = [-sum(jac[r][i] * resid[r] for r in range(len(jac))) for i in range(k)]
+def _solve_normal_equations(cols, resid):
+    """Least-squares step from the columns of J and the residual via the
+    normal equations."""
+    k = len(cols)
+    ata = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(k)] for i in range(k)]
+    atb = [-sum(a * r for a, r in zip(cols[i], resid)) for i in range(k)]
     for i in range(k):
         ata[i][i] += 1e-12
     # gaussian elimination with partial pivoting
@@ -358,18 +357,15 @@ def invert_newton(
     1e6) and accepted only when the exact sequence reproduces the input;
     otherwise the best float candidate is returned with verified=False.
     """
-    vals = _values_list(values)
-    minimum = d + 1 if monic else d + 2
-    if len(vals) < minimum:
-        raise PreconditionError(
-            "not enough resultant values", needed=minimum, got=len(vals)
-        )
+    if restarts < 1:
+        raise PreconditionError("restarts must be positive", restarts=restarts)
+    k = d if monic else d + 1
+    vals = _require(values, k + 1)
     for v in vals:
         if not v.is_real():
             raise PreconditionError("numeric route expects real resultant values")
     targets = [float(v.re) for v in vals]
     weights = [max(1.0, abs(t)) for t in targets]
-    k = d if monic else d + 1
     rng = random.Random(seed)
 
     def assemble(vec: list[float]) -> list[float]:
@@ -382,15 +378,13 @@ def invert_newton(
         return [(a - b) / w for a, b, w in zip(rs, targets, weights)]
 
     best_float: tuple[float, list[float]] | None = None
-    for start in range(max(1, restarts)):
+    for start in range(restarts):
         vec = [rng.uniform(-10, 10) for _ in range(k)]
         f_val = residual(vec)
         if f_val is None:
             continue
         norm = max(abs(x) for x in f_val)
         for _ in range(NEWTON_MAX_ITER):
-            jac = []
-            ok = True
             cols = []
             for j in range(k):
                 h = 1e-6 * max(1.0, abs(vec[j]))
@@ -401,13 +395,11 @@ def invert_newton(
                 fu = residual(up)
                 fd = residual(down)
                 if fu is None or fd is None:
-                    ok = False
                     break
                 cols.append([(a - b) / (2 * h) for a, b in zip(fu, fd)])
-            if not ok:
+            if len(cols) < k:
                 break
-            jac = [[cols[j][r] for j in range(k)] for r in range(len(targets))]
-            step = _solve_normal_equations(jac, f_val)
+            step = _solve_normal_equations(cols, f_val)
             if step is None:
                 break
             damping = 1.0
@@ -449,7 +441,7 @@ def invert_newton(
             float_coeffs=tuple(best_float[1]),
             verified=False,
             residual=best_float[0],
-            starts_used=max(1, restarts),
+            starts_used=restarts,
         )
     raise ConvergenceError(
         "no start converged", degree=d, restarts=restarts
@@ -552,12 +544,12 @@ class ReconstructionSpec:
     degree: int
     shape: str  # "monic" | "general" | "monic-reciprocal"
     values: ResultantSequence
-    method: str = "auto"  # "closed" | "groebner" | "newton" | "auto"
+    method: str = AUTO  # one of METHODS
 
     def __post_init__(self):
         if self.shape not in ("monic", "general", "monic-reciprocal"):
             raise ValueError(f"unknown shape {self.shape!r}")
-        if self.method not in ("closed", "groebner", "newton", "auto"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.values.has_zero():
             raise ZeroResultantError("reconstruction input contains a zero value")
@@ -576,12 +568,35 @@ class ReconstructionOutcome:
     candidates: tuple[Polynomial, ...] = ()
 
 
-def _closed_form_applies(spec: ReconstructionSpec) -> bool:
-    return (
-        (spec.shape == "general" and spec.degree == 1)
-        or (spec.shape == "monic" and spec.degree in (2, 3))
-        or (spec.shape == "monic-reciprocal" and spec.degree == 6)
+# Each route returns (polynomial, verified, further ReconstructionOutcome
+# fields) or raises.
+
+
+def _closed_route(spec: ReconstructionSpec, restarts: int, seed: int):
+    return invert_closed(spec.values, spec.degree, spec.shape), True, {}
+
+
+def _groebner_route(spec: ReconstructionSpec, restarts: int, seed: int):
+    answers = invert_groebner(spec.values, spec.degree, spec.monic)
+    if not answers:
+        raise NoSolutionError("no exactly verified candidate", degree=spec.degree)
+    return answers[0], True, {"candidates": tuple(answers)}
+
+
+def _newton_route(spec: ReconstructionSpec, restarts: int, seed: int):
+    result = invert_newton(
+        spec.values, spec.degree, spec.monic, restarts=restarts, seed=seed
     )
+    return result.polynomial, result.verified, {"float_coeffs": result.float_coeffs}
+
+
+# method -> (whether AUTO tries it on a spec, route); AUTO tries them in order
+ROUTES = {
+    "closed": (lambda spec: (spec.shape, spec.degree) in CLOSED_FORMS, _closed_route),
+    "groebner": (lambda spec: spec.degree <= GROEBNER_DEGREE_LIMIT, _groebner_route),
+    "newton": (lambda spec: True, _newton_route),
+}
+METHODS = (*ROUTES, AUTO)
 
 
 def reconstruct(
@@ -589,46 +604,21 @@ def reconstruct(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_SEED,
 ) -> ReconstructionOutcome:
-    """Route a reconstruction request; "auto" falls through closed form,
+    """Route a reconstruction request; AUTO falls through closed form,
     Groebner (degree <= 3), then the numeric solver, and raises the first
     route's failure when none answers."""
-    if spec.method == "closed":
-        poly = invert_closed(spec.values, spec.degree, spec.shape)
-        return ReconstructionOutcome(poly, "closed", True)
-    if spec.method == "groebner":
-        answers = invert_groebner(spec.values, spec.degree, spec.monic)
-        if not answers:
-            raise NoSolutionError(
-                "no exactly verified candidate", degree=spec.degree
-            )
-        return ReconstructionOutcome(
-            answers[0], "groebner", True, candidates=tuple(answers)
-        )
-    if spec.method == "newton":
-        result = invert_newton(
-            spec.values, spec.degree, spec.monic, restarts=restarts, seed=seed
-        )
-        return ReconstructionOutcome(
-            result.polynomial,
-            "newton",
-            result.verified,
-            float_coeffs=result.float_coeffs,
-        )
-    routes = ["closed"] if _closed_form_applies(spec) else []
-    if spec.degree <= GROEBNER_DEGREE_LIMIT:
-        routes.append("groebner")
-    routes.append("newton")
+    if spec.method == AUTO:
+        methods = [m for m, (applies, _) in ROUTES.items() if applies(spec)]
+    else:
+        methods = [spec.method]
     first_failure = None
-    for method in routes:
+    for method in methods:
         try:
-            return reconstruct(
-                ReconstructionSpec(spec.degree, spec.shape, spec.values, method),
-                restarts,
-                seed,
-            )
+            polynomial, verified, fields = ROUTES[method][1](spec, restarts, seed)
         except CycResError as exc:
-            if first_failure is None:
-                first_failure = exc
+            first_failure = first_failure or exc
+            continue
+        return ReconstructionOutcome(polynomial, method, verified, **fields)
     raise first_failure
 
 

@@ -310,6 +310,12 @@ class TestConjecture:
         assert main(["conjecture", "--degree", "2", "--trials", "1", "--seed", "-4"]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
+    def test_negative_env_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CYCRES_SEED", "-4")
+        assert main(["conjecture", "--degree", "2", "--trials", "1"]) == 1
+        out = capsys.readouterr()
+        assert out.err == "usage error: CYCRES_SEED must be >= 0\n" and out.out == ""
+
 
 class TestPlumbing:
     def test_usage_error_exit_1(self):
@@ -350,6 +356,7 @@ class TestPlumbing:
             ("equiv", "-x^2+5*x-6", []),
             ("genfun", "-x+3", []),
             ("genfun", "-(1+2i)*x+3", ["--order", "2"]),
+            ("seq", "--3*x+1", ["--n", "2"]),
         ],
     )
     def test_dash_led_poly_after_a_space(self, command, poly, rest, capsys):

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -128,3 +129,38 @@ def test_dash_led_poly_after_a_space(poly, command):
     poly = poly if poly.startswith("-") else "-" + poly
     name, *rest = command
     assert output([name, "--poly", poly, *rest]) == output([name, f"--poly={poly}", *rest])
+
+
+# Lower bounds of the integer flags drawn below; a value under its bound is
+# a usage error, any other value must not be.
+BOUNDS = {"--degree": 0, "--trials": 0, "--seed": 0, "--order": 0}
+bounded = st.one_of(
+    st.builds(
+        lambda d, t, s: ["conjecture", "--degree", str(d), "--trials", str(t)]
+        + ([] if s is None else ["--seed", str(s)]),
+        st.integers(-1, 3),
+        st.integers(-1, 2),
+        st.one_of(st.none(), st.integers(-1, 3)),
+    ),
+    st.builds(lambda o: ["genfun", "--poly", "x^2-5*x+6", "--order", str(o)], small),
+    st.builds(lambda o: ["zeta", "--order", str(o)], small),
+)
+
+
+@pytest.fixture(scope="module")
+def matrix(tmp_path_factory):
+    path = tmp_path_factory.mktemp("zeta") / "matrix.json"
+    path.write_text(json.dumps({"n": 2, "entries": [["2", "1"], ["1", "1"]]}))
+    return str(path)
+
+
+@FUZZ
+@given(bounded)
+def test_flag_bounds(matrix, argv):
+    if argv[0] == "zeta":
+        argv = argv + ["--matrix", matrix]
+    below = any(
+        flag in BOUNDS and int(value) < BOUNDS[flag]
+        for flag, value in zip(argv, argv[1:])
+    )
+    assert (run(argv) == 1) == below, argv

@@ -259,6 +259,10 @@ class TestNewtonRoute:
         with pytest.raises(ConvergenceError):
             invert_newton([1, 1, 1, 1, 1], 3, True, restarts=6)
 
+    def test_restarts_below_one_rejected(self):
+        with pytest.raises(PreconditionError):
+            invert_newton([1, 3, 7], 1, restarts=0)
+
     def test_agrees_with_closed_form(self):
         rng = random.Random(76)
         done = 0
@@ -314,6 +318,74 @@ class TestDispatch:
         outcome = reconstruct(spec)
         assert outcome.method == "closed" and outcome.verified
         assert outcome.polynomial == parse("x^2-5*x+6")
+
+    @staticmethod
+    def spec(degree, values, method="auto", shape="monic"):
+        from cycres.reconstruct import ReconstructionSpec
+        from cycres.resultants import ResultantSequence
+
+        if not isinstance(values, ResultantSequence):
+            values = ResultantSequence(tuple(G(v) for v in values))
+        return ReconstructionSpec(degree=degree, shape=shape, values=values, method=method)
+
+    def test_auto_reraises_the_first_failure(self):
+        from cycres.reconstruct import reconstruct
+
+        # the closed form reads x^2-5*x+6 from r_1, r_2, whose r_3 is 182
+        with pytest.raises(VerificationError) as info:
+            reconstruct(self.spec(2, [2, 24, 999]))
+        assert info.value.context["expected"] == ["2", "24", "999"]
+        assert info.value.context["got"] == ["2", "24", "182"]
+
+    def test_auto_answers_a_quartic_by_newton(self):
+        from cycres.reconstruct import reconstruct
+
+        f = parse("x^4-3*x^3+5*x-7")
+        outcome = reconstruct(self.spec(4, sequence(f, 5)))
+        assert outcome.method == "newton" and outcome.verified
+        assert outcome.polynomial == f
+
+    def test_explicit_closed_without_a_closed_form(self):
+        from cycres.reconstruct import reconstruct
+
+        f = parse("x^4-3*x^3+5*x-7")
+        with pytest.raises(PreconditionError):
+            reconstruct(self.spec(4, sequence(f, 5), method="closed"))
+
+    def test_explicit_groebner_above_its_degree_limit(self):
+        from cycres.reconstruct import reconstruct
+
+        f = parse("x^4-3*x^3+5*x-7")
+        with pytest.raises(DegreeGuardError):
+            reconstruct(self.spec(4, sequence(f, 5), method="groebner"))
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            self.spec(2, [2, 24], method="exact")
+
+    def test_cli_method_choices_are_the_spec_methods(self):
+        import argparse
+
+        from cycres.cli import build_parser
+
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        method = next(
+            a for a in sub.choices["reconstruct"]._actions if a.dest == "method"
+        )
+        choices = list(method.choices)
+        probes = choices + ["", "AUTO", "Closed", "exact", "numeric", "abs"]
+
+        def accepted(name):
+            try:
+                self.spec(2, [2, 24], method=name)
+            except ValueError:
+                return False
+            return True
+
+        assert [m for m in probes if accepted(m)] == choices
+        assert method.default in choices
 
     def test_zero_values_rejected(self):
         from cycres.errors import ZeroResultantError

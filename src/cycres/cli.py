@@ -214,7 +214,25 @@ def _cmd_equiv(args, cfg: Config) -> dict:
     }
 
 
-def _reconstruct_plain(args, cfg: Config, values) -> dict:
+def _cmd_reconstruct(args, cfg: Config) -> dict:
+    values = _parse_rational_values(args.values)
+    restarts = cfg.newton_restarts if args.restarts is None else args.restarts
+    seed = cfg.seed if args.seed is None else args.seed
+    if args.use_abs:
+        if args.method != AUTO:
+            raise _UsageError("--abs cannot be combined with --method")
+        seq = ResultantSequence(tuple(values), is_abs=True)
+        monic = args.monic or args.reciprocal
+        result: Disambiguation = disambiguate_abs(seq, args.degree, monic, restarts, seed)
+        return {
+            "polynomial": format_poly(result.polynomial),
+            "coeffs": result.polynomial.to_json()["coeffs"],
+            "method": "abs-disambiguation",
+            "verified": True,
+            "base_sign": result.base_sign,
+            "alt_sign": result.alt_sign,
+            "attempts": [list(a) for a in result.attempts],
+        }
     shape = (
         "monic-reciprocal"
         if args.reciprocal
@@ -226,11 +244,7 @@ def _reconstruct_plain(args, cfg: Config, values) -> dict:
         values=ResultantSequence(tuple(values)),
         method=args.method,
     )
-    outcome = reconstruct(
-        spec,
-        restarts=cfg.newton_restarts if args.restarts is None else args.restarts,
-        seed=cfg.seed if args.seed is None else args.seed,
-    )
+    outcome = reconstruct(spec, restarts=restarts, seed=seed)
     if outcome.polynomial is None:
         return {
             "polynomial": None,
@@ -248,25 +262,6 @@ def _reconstruct_plain(args, cfg: Config, values) -> dict:
     if len(outcome.candidates) > 1:
         out["candidates"] = [format_poly(c) for c in outcome.candidates]
     return out
-
-
-def _cmd_reconstruct(args, cfg: Config) -> dict:
-    values = _parse_rational_values(args.values)
-    if args.use_abs:
-        seq = ResultantSequence(tuple(values), is_abs=True)
-        result: Disambiguation = disambiguate_abs(
-            seq, args.degree, monic=args.monic or args.reciprocal
-        )
-        return {
-            "polynomial": format_poly(result.polynomial),
-            "coeffs": result.polynomial.to_json()["coeffs"],
-            "method": "abs-disambiguation",
-            "verified": True,
-            "base_sign": result.base_sign,
-            "alt_sign": result.alt_sign,
-            "attempts": [list(a) for a in result.attempts],
-        }
-    return _reconstruct_plain(args, cfg, values)
 
 
 def _cmd_zeta(args, cfg: Config) -> dict:
@@ -303,7 +298,10 @@ def _cmd_conjecture(args, cfg: Config) -> dict:
     if args.seed is not None:
         seed = args.seed
     elif "CYCRES_SEED" in os.environ:
-        seed = int(os.environ["CYCRES_SEED"])
+        try:
+            seed = int(os.environ["CYCRES_SEED"])
+        except ValueError:
+            raise _UsageError("CYCRES_SEED must be an integer") from None
         _check_bound("CYCRES_SEED", seed, _FLAG_BOUNDS["seed"])
     else:
         seed = cfg.seed

@@ -324,11 +324,11 @@ def reciprocal_uniqueness_check(
     """Check the uniqueness of reciprocal polynomials given their sequences."""
     if not f.is_reciprocal() or not g.is_reciprocal():
         raise PreconditionError("both inputs must be reciprocal")
-    for p in (f, g):
-        if sequence(p, length).has_zero():
-            raise ZeroResultantError("zero cyclic resultant in the prefix")
+    seq_f, seq_g = (sequence(p, length) for p in (f, g))
+    if seq_f.has_zero() or seq_g.has_zero():
+        raise ZeroResultantError("zero cyclic resultant in the prefix")
     return ReciprocalVerdict(
-        sequences_equal=verify_same_resultants(f, g, length),
+        sequences_equal=seq_f.values == seq_g.values,
         polynomials_equal=f == g,
     )
 

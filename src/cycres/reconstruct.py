@@ -456,16 +456,16 @@ SIGN_PATTERNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 
 
 def _exact_answers(
-    values, d: int, monic: bool, restarts: int = DEFAULT_RESTARTS, rng=None
+    values, d: int, monic: bool, restarts=DEFAULT_RESTARTS, seed=DEFAULT_SEED, rng=None
 ) -> list[Polynomial]:
     """Exactly verified answers: every Groebner solution up to
     GROEBNER_DEGREE_LIMIT, above it Newton's answer when it verified.
 
-    Given rng, Newton's seed is drawn from it, and only when Newton runs.
+    Given rng, Newton's seed is drawn from it instead, only when Newton runs.
     """
     if d <= GROEBNER_DEGREE_LIMIT:
         return invert_groebner(values, d, monic)
-    seed = DEFAULT_SEED if rng is None else rng.randrange(2**30)
+    seed = seed if rng is None else rng.randrange(2**30)
     result = invert_newton(values, d, monic, restarts=restarts, seed=seed)
     return [result.polynomial] if result.verified else []
 
@@ -478,7 +478,9 @@ class Disambiguation:
     attempts: tuple[tuple[int, int, int], ...]  # (base, alt, candidate count)
 
 
-def disambiguate_abs(values, d: int, monic: bool = True) -> Disambiguation:
+def disambiguate_abs(
+    values, d: int, monic: bool = True, restarts=DEFAULT_RESTARTS, seed=DEFAULT_SEED
+) -> Disambiguation:
     """Recover a polynomial from absolute resultant values.
 
     All four sign patterns base * alt^m are lifted to candidate exact
@@ -488,7 +490,8 @@ def disambiguate_abs(values, d: int, monic: bool = True) -> Disambiguation:
     the alternating patterns are consulted only when neither constant-sign
     lift admits an answer (they do fire: |r_m| of x+2 comes from an
     alternating true sequence).  Several answers inside one priority tier
-    mean non-generic input and raise rather than guess.
+    mean non-generic input and raise rather than guess.  restarts and seed
+    reach Newton, which inverts each lift above GROEBNER_DEGREE_LIMIT.
     """
     vals = _values_list(values)
     if any(not v.is_real() or v.re <= 0 for v in vals):
@@ -501,7 +504,7 @@ def disambiguate_abs(values, d: int, monic: bool = True) -> Disambiguation:
             for m, v in zip(range(1, len(vals) + 1), vals)
         ]
         try:
-            candidates = _exact_answers(lifted, d, monic)
+            candidates = _exact_answers(lifted, d, monic, restarts, seed)
         except (NoSolutionError, ConvergenceError, PreconditionError):
             candidates = []
         verified = [c for c in candidates if reproduces(c, vals, use_abs=True)]

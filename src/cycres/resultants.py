@@ -168,33 +168,50 @@ def resultant(f: Polynomial, g: Polynomial) -> GaussianRational:
 # the sequence kernel and the three cyclic-resultant routes
 # ---------------------------------------------------------------------------
 #
-# A real f runs on Python ints: with c the least common denominator of its
-# coefficients, F = c*f is integral and r_m(f) = r_m(F) / c^m.  A non-real f
-# runs the same steps over the Gaussian rationals, normalized monic.
+# Every f runs on F = c*f, c the least common denominator of all real and
+# imaginary parts, so r_m(F) lies in Z[i] and r_m(f) = r_m(F) / c^m.  A real
+# F runs on Python ints, a non-real F on integral Gaussian rationals; each
+# arithmetic is (zero, one, determinant, map r_m(F), c^m -> r_m(f)).
+_INTS = (0, 1, _det_bareiss_int, lambda v, s: GaussianRational(Fraction(v, s)))
+_GAUSSIAN = (
+    GaussianRational(0),
+    GaussianRational(1),
+    _det_field,
+    lambda v, s: GaussianRational(Fraction(v.re, s), Fraction(v.im, s)),
+)
 
 
-def _integral(f: Polynomial) -> tuple[list[int], int] | None:
-    """(coefficients of c*f ascending, c) for real f, else None."""
-    if not f.is_real():
-        return None
+def _cleared(f: Polynomial) -> tuple:
+    """(lead a_d, tail [-a_0 .. -a_(d-1)], c, arithmetic) of F = c*f."""
     c = 1
     for a in f.coeffs:
-        c = math.lcm(c, a.re.denominator)
-    return [a.re.numerator * (c // a.re.denominator) for a in f.coeffs], c
+        c = math.lcm(c, a.re.denominator, a.im.denominator)
+    if f.is_real():
+        coeffs, arith = [a.re.numerator * (c // a.re.denominator) for a in f.coeffs], _INTS
+    else:
+        coeffs, arith = [a * c for a in f.coeffs], _GAUSSIAN
+    return coeffs[-1], [-a for a in coeffs[:-1]], c, arith
 
 
-def _exact_div(num: int, den: int, m: int) -> int:
-    q, r = divmod(num, den)
+def _exact_div(num, den, m: int):
+    """num / den, which must lie in Z for ints and in Z[i] otherwise."""
+    if den == 1:  # F monic
+        return num
+    if isinstance(num, int):
+        q, r = divmod(num, den)
+    else:
+        q = num / den
+        r = q.re.denominator != 1 or q.im.denominator != 1
     if r:
         raise InternalCheckError("inexact division in the sequence kernel", m=m)
     return q
 
 
 def _times_x(power: list, lead, tail: list) -> list:
-    """lead * x * power reduced mod f, on ascending coefficients of degree < d.
+    """lead * x * power reduced mod F, on ascending coefficients of degree < d.
 
     tail holds -a_i for i < d and lead is a_d, so the x^d term is cleared
-    without division.  Over a field pass the monic tail -a_i/a_d and lead 1.
+    without division.
     """
     top = power[-1]
     body = power[:-1] if lead == 1 else [lead * p for p in power[:-1]]
@@ -225,79 +242,51 @@ def _minus_scalar(power: list[list], scalar) -> list[list]:
 
 
 def _companion_values(f: Polynomial) -> Iterator[GaussianRational]:
-    """lead^m * det(C^m - I) for m = 1, 2, ..., with C the companion matrix
-    of f normalized monic and C^m stepped as C^(m-1) * C.
+    """r_m = lead^m * det(C^m - I) for m = 1, 2, ..., C the companion matrix.
 
-    On the integer path the stepped matrix is B = lead * C, so that
+    The stepped matrix is B = lead * C, with B^m = B^(m-1) * B, so that
     r_m(F) = det(B^m - lead^m I) / lead^(m(d-1)), a checked division.
     """
     d = f.degree
-    ints = _integral(f)
-    if ints is not None:
-        coeffs, c = ints
-        lead = coeffs[-1]
-        tail = [-a for a in coeffs[:-1]]
-        power = [[int(i == j) for j in range(d)] for i in range(d)]
-        for m in itertools.count(1):
-            power = _times_companion(power, lead, tail)
-            scale = lead**m
-            det = _det_bareiss_int(_minus_scalar(power, scale))
-            value = _exact_div(det * scale, lead ** (m * d), m)
-            yield GaussianRational(Fraction(value, c**m))
-    else:
-        lead = f.leading
-        tail = [-a / lead for a in f.coeffs[:-1]]
-        power = [[GaussianRational(int(i == j)) for j in range(d)] for i in range(d)]
-        for m in itertools.count(1):
-            power = _times_companion(power, 1, tail)
-            yield lead**m * _det_field(_minus_scalar(power, 1))
+    lead, tail, c, (zero, one, det, value) = _cleared(f)
+    power = [[one if i == j else zero for j in range(d)] for i in range(d)]
+    scale = one
+    for m in itertools.count(1):
+        power = _times_companion(power, lead, tail)
+        scale = scale * lead
+        delta = det(_minus_scalar(power, scale))
+        yield value(_exact_div(delta * scale, scale**d, m), c**m)
 
 
 def _reduced_values(f: Polynomial) -> Iterator[GaussianRational]:
     """r_m = lead^(m - deg h) * Res(f, h) for m = 1, 2, ..., h = (x^m - 1) mod f.
 
     x^m mod f is stepped from x^(m-1) mod f in O(d), so each term costs one
-    Sylvester determinant of size at most 2d - 1 whatever m is.  On the
-    integer path power holds H = lead^m * (x^m mod F), integral, and with
-    G = H - lead^m, r_m(F) = lead^(m - deg G) * Res(F, G) / lead^(m*d), a
-    checked division.
+    Sylvester determinant of size at most 2d - 1 whatever m is.  power holds
+    H = lead^m * (x^m mod F), integral, and with G = H - lead^m,
+    r_m(F) = lead^(m - deg G) * Res(F, G) / lead^(m*d), a checked division.
     """
     d = f.degree
-    ints = _integral(f)
     if d == 0:
-        for m in itertools.count(1):
-            yield f.leading**m
-    elif ints is not None:
-        coeffs, c = ints
-        lead = coeffs[-1]
-        tail = [-a for a in coeffs[:-1]]
-        fd = coeffs[::-1]
-        power = [1] + [0] * (d - 1)
-        for m in itertools.count(1):
-            power = _times_x(power, lead, tail)
-            scale = lead**m
-            g = power[:]
-            g[0] -= scale
-            while g and not g[-1]:
-                g.pop()
-            if not g:
-                yield GaussianRational(0)
-                continue
-            e = len(g) - 1
-            det = _det_bareiss_int(_sylvester(fd, g[::-1], 0))
-            value = _exact_div(lead ** (m - e) * det, scale**d, m)
-            yield GaussianRational(Fraction(value, c**m))
-    else:
-        lead = f.leading
-        tail = [-a / lead for a in f.coeffs[:-1]]
-        power = [GaussianRational(1)] + [GaussianRational(0)] * (d - 1)
-        for m in itertools.count(1):
-            power = _times_x(power, 1, tail)
-            h = Polynomial([power[0] - 1] + power[1:])
-            if h.is_zero():
-                yield GaussianRational(0)
-            else:
-                yield lead ** (m - h.degree) * resultant(f, h)
+        yield from (f.leading**m for m in itertools.count(1))
+        return
+    lead, tail, c, (zero, one, det, value) = _cleared(f)
+    fd = [lead] + [-a for a in reversed(tail)]
+    power = [one] + [zero] * (d - 1)
+    scale = one
+    for m in itertools.count(1):
+        power = _times_x(power, lead, tail)
+        scale = scale * lead
+        g = power[:]
+        g[0] -= scale
+        while g and not g[-1]:
+            g.pop()
+        if not g:
+            yield GaussianRational(0)
+            continue
+        e = len(g) - 1
+        res = det(_sylvester(fd, g[::-1], zero))
+        yield value(_exact_div(lead ** (m - e) * res, scale**d, m), c**m)
 
 
 def _x_power_minus_one(m: int) -> Polynomial:
@@ -329,8 +318,8 @@ def cyclic_resultant(f: Polynomial, m: int, method: str = "direct"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def sequence(f: Polynomial, length: int) -> ResultantSequence:
-    """Exact cyclic resultants for m = 1..length.
+def _terms(f: Polynomial, length: int) -> Iterator[GaussianRational]:
+    """r_1..r_length of f, computed one at a time on demand.
 
     Values come from the reduced resultant (:func:`_reduced_values`); the
     stepped companion route is computed independently for m up to
@@ -342,7 +331,6 @@ def sequence(f: Polynomial, length: int) -> ResultantSequence:
     if f.is_zero():
         raise ZeroPolynomialError("sequence of the zero polynomial")
     checks = _companion_values(f)
-    values = []
     for m, value in zip(range(1, length + 1), _reduced_values(f)):
         if m <= COMPANION_CROSS_CHECK_LIMIT:
             comp = next(checks)
@@ -353,8 +341,12 @@ def sequence(f: Polynomial, length: int) -> ResultantSequence:
                     reduced=str(value),
                     companion=str(comp),
                 )
-        values.append(value)
-    return ResultantSequence(tuple(values), is_abs=False)
+        yield value
+
+
+def sequence(f: Polynomial, length: int) -> ResultantSequence:
+    """Exact, cross-checked cyclic resultants for m = 1..length."""
+    return ResultantSequence(tuple(_terms(f, length)), is_abs=False)
 
 
 def reproduces(f: Polynomial, target, use_abs: bool = False) -> bool:
@@ -362,15 +354,17 @@ def reproduces(f: Polynomial, target, use_abs: bool = False) -> bool:
 
     With use_abs every r_m must be real and |r_m| must equal target[m-1].
     This is the acceptance test of every family member and every
-    reconstruction candidate.
+    reconstruction candidate; it stops at the first term that differs.
     """
     target = tuple(target)
-    got = sequence(f, len(target)).values
-    if use_abs:
-        if not all(v.is_real() for v in got):
+    for value, want in zip(_terms(f, len(target)), target):
+        if use_abs:
+            if not value.is_real():
+                return False
+            value = GaussianRational(abs(value.re))
+        if value != want:
             return False
-        got = tuple(GaussianRational(abs(v.re)) for v in got)
-    return got == target
+    return True
 
 
 # ---------------------------------------------------------------------------

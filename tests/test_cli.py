@@ -173,6 +173,43 @@ class TestReconstruct:
         assert len(data["candidates"]) == 4
         assert "3*x^3-10*x^2-29*x+84" in data["candidates"]
 
+    @pytest.mark.parametrize(
+        "flags, config, expected",
+        [
+            ([], None, (16, 0)),
+            ([], "newton_restarts=5\nseed=9\n", (5, 9)),
+            (["--restarts", "3", "--seed", "7"], "newton_restarts=5\nseed=9\n", (3, 7)),
+        ],
+    )
+    def test_abs_passes_restarts_and_seed_to_newton(
+        self, flags, config, expected, monkeypatch, tmp_path, capsys
+    ):
+        from cycres.errors import ConvergenceError
+
+        seen = set()
+
+        def spy(values, d, monic=True, restarts=0, seed=0):
+            seen.add((restarts, seed))
+            raise ConvergenceError("spy")
+
+        monkeypatch.setattr(sys.modules["cycres.reconstruct"], "invert_newton", spy)
+        argv = ["reconstruct", "--degree", "4", "--abs", "--values=1,2,3,4,5"] + flags
+        if config is not None:
+            (tmp_path / "cfg").write_text(config)
+            argv = ["--config", str(tmp_path / "cfg")] + argv
+        assert main(argv) == 2  # every sign lift declines
+        assert json.loads(capsys.readouterr().out)["code"] == "no_solution"
+        assert seen == {expected}
+
+    @pytest.mark.parametrize("method", ["closed", "groebner", "newton"])
+    def test_abs_with_an_explicit_method_is_usage_error(self, method, capsys):
+        argv = ["reconstruct", "--degree", "1", "--monic", "--abs", "--values", "3,3"]
+        assert main(argv + ["--method", method]) == 1
+        out = capsys.readouterr()
+        assert out.err == "usage error: --abs cannot be combined with --method\n"
+        assert main(argv + ["--method", "auto"]) == 0
+        assert json.loads(capsys.readouterr().out)["polynomial"] == "x+2"
+
 
 class TestZeta:
     def test_matrix_file(self, tmp_path):
@@ -315,6 +352,12 @@ class TestConjecture:
         assert main(["conjecture", "--degree", "2", "--trials", "1"]) == 1
         out = capsys.readouterr()
         assert out.err == "usage error: CYCRES_SEED must be >= 0\n" and out.out == ""
+
+    def test_non_integer_env_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CYCRES_SEED", "x")
+        assert main(["conjecture", "--degree", "1", "--trials", "1"]) == 1
+        out = capsys.readouterr()
+        assert out.err == "usage error: CYCRES_SEED must be an integer\n" and out.out == ""
 
 
 class TestPlumbing:

@@ -1,0 +1,91 @@
+"""Differential tests against sympy: the sequence kernel, the Sylvester
+resultant and the characteristic polynomial, on random exact inputs.
+
+sympy 1.14's resultant(f, g) returns the negative of its own Sylvester
+determinant when deg f < deg g and deg f * deg g is odd (e.g. x - 2 against
+x^3 - 1, and r_m against x^m - 1 for m < deg f), so every oracle here puts
+the higher degree first and restores the sign from
+Res(f, g) = (-1)^(deg f * deg g) * Res(g, f).
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from cycres.dynamics import IntegerMatrix, char_poly
+from cycres.gaussian import GaussianRational as G
+from cycres.polycore import Polynomial
+from cycres.resultants import COMPANION_CROSS_CHECK_LIMIT, resultant, sequence
+
+sympy = pytest.importorskip("sympy")
+X = sympy.Symbol("x")
+
+
+def to_sympy(f: Polynomial):
+    return sum(
+        (sympy.Rational(c.re.numerator, c.re.denominator)
+         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * X**k
+        for k, c in enumerate(f.coeffs)
+    )
+
+
+def from_sympy(value) -> G:
+    re, im = (sympy.Rational(part) for part in sympy.expand(value).as_real_imag())
+    return G(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def sympy_resultant(f: Polynomial, g: Polynomial) -> G:
+    """Res(f, g) with the higher degree passed to sympy first."""
+    if f.degree < g.degree:
+        sign = (-1) ** (f.degree * g.degree)
+        return from_sympy(sign * sympy.resultant(to_sympy(g), to_sympy(f), X))
+    return from_sympy(sympy.resultant(to_sympy(f), to_sympy(g), X))
+
+
+def fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+
+def random_poly(rng, d: int, gaussian: bool) -> Polynomial:
+    """Degree d, rational or Gaussian-rational coefficients with
+    denominators, and a leading coefficient other than 1."""
+    def coeff():
+        return G(fraction(rng), fraction(rng) if gaussian else 0)
+
+    lead = coeff()
+    while lead.is_zero() or lead == 1:
+        lead = coeff()
+    return Polynomial([coeff() for _ in range(d)] + [lead])
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_sequence_matches_sympy(gaussian):
+    rng = random.Random(81 + gaussian)
+    n = 24
+    assert n > COMPANION_CROSS_CHECK_LIMIT
+    for _ in range(8):
+        d = rng.randint(1, 4)
+        f = random_poly(rng, d, gaussian)
+        expected = [
+            sympy_resultant(f, Polynomial([-1] + [0] * (m - 1) + [1]))
+            for m in range(1, n + 1)
+        ]
+        assert list(sequence(f, n).values) == expected, f
+
+
+def test_resultant_matches_sympy():
+    rng = random.Random(83)
+    for _ in range(30):
+        gaussian = rng.random() < 0.5
+        f = random_poly(rng, rng.randint(1, 4), gaussian)
+        g = random_poly(rng, rng.randint(1, 4), rng.random() < 0.5)
+        assert resultant(f, g) == sympy_resultant(f, g), (f, g)
+
+
+def test_char_poly_matches_sympy():
+    rng = random.Random(84)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        expected = sympy.Matrix(rows).charpoly(X).all_coeffs()[::-1]
+        assert list(char_poly(IntegerMatrix.of(rows)).coeffs) == [G(int(c)) for c in expected]

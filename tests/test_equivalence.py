@@ -262,6 +262,18 @@ class TestReciprocalUniqueness:
         with pytest.raises(ZeroResultantError):
             reciprocal_uniqueness_check(parse("x^2+2*x+1"), parse("x^2+3*x+1"), 3)
 
+    def test_sequences_each_input_once(self, monkeypatch):
+        calls = []
+
+        def counting(f, length):
+            calls.append(f)
+            return sequence(f, length)
+
+        monkeypatch.setattr(equivalence, "sequence", counting)
+        f, g = parse("x^2+3*x+1"), parse("x^2+4*x+1")
+        assert reciprocal_uniqueness_check(f, g, 5).status == "sequences_differ"
+        assert calls == [f, g]
+
     def test_random_pairs_never_collide(self):
         rng = random.Random(53)
         done = 0

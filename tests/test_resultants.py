@@ -216,6 +216,11 @@ class TestSequenceKernel:
         with pytest.raises(InternalCheckError):
             resultants._exact_div(7, 2, m=1)
 
+    def test_inexact_gaussian_division_is_an_internal_error(self):
+        assert resultants._exact_div(G(2, 4), G(1, 1), m=1) == G(3, 1)
+        with pytest.raises(InternalCheckError):
+            resultants._exact_div(G(1, 1), G(2), m=1)
+
 
 class TestReproduces:
     def test_exact_match(self):
@@ -235,6 +240,40 @@ class TestReproduces:
         assert sequence(f, 1)[1] == G(1, 1)
         assert not reproduces(f, [G(1, 1)], use_abs=True)
         assert reproduces(f, [G(1, 1)])
+
+    def test_stops_at_the_first_mismatch(self, monkeypatch):
+        pulled = []
+        reduced = resultants._reduced_values
+
+        def counting(f):
+            for value in reduced(f):
+                pulled.append(value)
+                yield value
+
+        monkeypatch.setattr(resultants, "_reduced_values", counting)
+        assert not reproduces(parse("x-2"), [2] + [1] * 9)  # r_1 = 1
+        assert len(pulled) == 1
+
+    def test_every_term_is_cross_checked(self, monkeypatch):
+        stepped = resultants._companion_values
+
+        def off_by_one(f):
+            for value in stepped(f):
+                yield value + 1
+
+        for text in ["x^2-3*x+5", "2*x^3+x-1/3", "(1+2i)*x^2-x+3"]:
+            f = parse(text)
+            target = sequence(f, 3).values
+            with monkeypatch.context() as patch:
+                patch.setattr(resultants, "_companion_values", off_by_one)
+                with pytest.raises(InternalCheckError):
+                    reproduces(f, target)
+
+    def test_empty_target_and_zero_polynomial(self):
+        with pytest.raises(ValueError):
+            reproduces(parse("x-2"), ())
+        with pytest.raises(ZeroPolynomialError):
+            reproduces(Polynomial([0]), [1])
 
 
 class TestSignData:

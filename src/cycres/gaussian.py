@@ -3,7 +3,7 @@
 This is the coefficient field for everything exact in the package.  It is a
 genuine field (division by any nonzero element stays exact), big enough to
 represent every worked example while avoiding general algebraic-number
-arithmetic.
+arithmetic; exact determinants run on its integers, GaussianInteger.
 """
 from __future__ import annotations
 
@@ -11,11 +11,15 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import InternalCheckError
+
 Rationalish = Union[int, Fraction, "GaussianRational"]
 
 
 class GaussianRational:
     __slots__ = ("re", "im")
+    real = property(lambda self: self.re)  # the parts under int's and complex's names
+    imag = property(lambda self: self.im)
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         self.re = Fraction(re)
@@ -150,9 +154,72 @@ class GaussianRational:
         return GaussianRational(Fraction(rn, rd), Fraction(im, id_))
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
+class GaussianInteger:
+    """a + b*i on two Python ints, named like an int's parts so that an int is
+    an operand on either side; // is exact division, / the GaussianRational."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int = 0):
+        self.real, self.imag = real, imag
+
+    def __add__(self, other) -> "GaussianInteger":
+        return GaussianInteger(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "GaussianInteger":
+        return GaussianInteger(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other) -> "GaussianInteger":
+        return -self + other
+
+    def __neg__(self) -> "GaussianInteger":
+        return GaussianInteger(-self.real, -self.imag)
+
+    def __mul__(self, other) -> "GaussianInteger":
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return GaussianInteger(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "GaussianInteger":
+        result = GaussianInteger(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def quotient(self, other) -> "GaussianInteger | None":
+        """self / other when other divides self in Z[i], else None."""
+        c, d = other.real, other.imag
+        n = c * c + d * d
+        re, r = divmod(self.real * c + self.imag * d, n)
+        im, s = divmod(self.imag * c - self.real * d, n)
+        return None if r or s else GaussianInteger(re, im)
+
+    def __floordiv__(self, other) -> "GaussianInteger":
+        if (q := self.quotient(other)) is None:
+            raise InternalCheckError("inexact division", num=repr(self), den=repr(other))
+        return q
+
+    def __rfloordiv__(self, other: int) -> "GaussianInteger":
+        return GaussianInteger(other) // self
+
+    def __truediv__(self, other) -> GaussianRational:
+        return GaussianRational(self.real, self.imag) / GaussianRational(other.real, other.imag)
+
+    def __rtruediv__(self, other: int) -> GaussianRational:
+        return GaussianRational(other) / GaussianRational(self.real, self.imag)
+
+    def __eq__(self, other) -> bool:
+        same_kind = isinstance(other, (int, GaussianInteger))
+        return same_kind and self.real == other.real and self.imag == other.imag
+
+    def __bool__(self) -> bool:
+        return bool(self.real or self.imag)
+
+    def __repr__(self) -> str:
+        return f"GaussianInteger({self.real!r}, {self.imag!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +232,7 @@ I = GaussianRational(0, 1)
 # values always factor identically.
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+FACTOR_TRIAL_LIMIT = 10**6
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -213,19 +281,9 @@ def canonical_associate(x: int, y: int) -> tuple[int, int]:
     raise ValueError("zero has no associate")
 
 
-def _divide_exact(a: int, b: int, x: int, y: int):
-    """(a + bi) / (x + yi) when exact in Z[i], else None."""
-    n = x * x + y * y
-    re = a * x + b * y
-    im = b * x - a * y
-    if re % n or im % n:
-        return None
-    return re // n, im // n
-
-
-def _gaussian_integer_factorization(a: int, b: int, trial_limit: int):
+def _gaussian_integer_factorization(a: int, b: int):
     """(unit exponent mod 4, {canonical prime: exponent}) for a + bi != 0,
-    or None when the norm resists trial division within the limit."""
+    or None when the norm resists trial division up to FACTOR_TRIAL_LIMIT."""
     norm = a * a + b * b
     primes: list[int] = []
     n = norm
@@ -234,7 +292,7 @@ def _gaussian_integer_factorization(a: int, b: int, trial_limit: int):
         if 2 not in primes:
             primes.append(2)
     p = 3
-    while p * p <= n and p <= trial_limit:
+    while p * p <= n and p <= FACTOR_TRIAL_LIMIT:
         if n % p == 0:
             primes.append(p)
             while n % p == 0:
@@ -243,12 +301,12 @@ def _gaussian_integer_factorization(a: int, b: int, trial_limit: int):
     if n > 1:
         if not _is_probable_prime(n):
             return None
-        if n % 4 == 1 and n > trial_limit * trial_limit:
+        if n % 4 == 1 and n > FACTOR_TRIAL_LIMIT**2:
             return None  # splitting it needs a two-squares search that is too big
         primes.append(n)
 
     exps: dict[tuple[int, int], int] = {}
-    w = (a, b)
+    w = GaussianInteger(a, b)
     for p in primes:
         if p == 2:
             divisors = [(1, 1)]
@@ -258,36 +316,31 @@ def _gaussian_integer_factorization(a: int, b: int, trial_limit: int):
             x, y = _sum_of_two_squares(p)
             divisors = [canonical_associate(x, y), canonical_associate(x, -y)]
         for div in divisors:
-            while True:
-                q = _divide_exact(w[0], w[1], div[0], div[1])
-                if q is None:
-                    break
+            while (q := w.quotient(GaussianInteger(*div))) is not None:
                 w = q
                 exps[div] = exps.get(div, 0) + 1
-    units = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+    units = [1, GaussianInteger(0, 1), -1, GaussianInteger(0, -1)]
     if w not in units:
         return None
-    return units[w], exps
+    return units.index(w), exps
 
 
-def gaussian_factorization(value: "GaussianRational", trial_limit: int = 10**6):
+def gaussian_factorization(value: "GaussianRational"):
     """Factor a nonzero Gaussian rational as i^k * prod primes^exponents.
 
     Returns (k mod 4, {canonical prime (x, y): exponent}) or None when a norm
-    resists trial division within the limit (callers fall back to an opaque
-    encoding; correctness never depends on success here).
+    resists trial division up to FACTOR_TRIAL_LIMIT (callers fall back to an
+    opaque encoding; correctness never depends on success here).
     """
     if value.is_zero():
         raise ValueError("cannot factor zero")
-    denom = value.re.denominator * value.im.denominator // math.gcd(
-        value.re.denominator, value.im.denominator
-    )
+    denom = math.lcm(value.re.denominator, value.im.denominator)
     a = int(value.re * denom)
     b = int(value.im * denom)
-    top = _gaussian_integer_factorization(a, b, trial_limit)
+    top = _gaussian_integer_factorization(a, b)
     if top is None:
         return None
-    bottom = _gaussian_integer_factorization(denom, 0, trial_limit)
+    bottom = _gaussian_integer_factorization(denom, 0)
     if bottom is None:
         return None
     unit = (top[0] - bottom[0]) % 4

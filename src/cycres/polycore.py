@@ -364,9 +364,10 @@ def has_root_of_unity(f: Polynomial) -> bool:
 # ---------------------------------------------------------------------------
 
 ABERTH_MAX_ITER = 500
+ABERTH_TOL = 1e-12
 
 
-def roots_numeric(f: Polynomial, tol: float = 1e-12) -> list[complex]:
+def roots_numeric(f: Polynomial) -> list[complex]:
     """All complex roots of f, with multiplicity, as double-precision values.
 
     The exact square-free decomposition is taken first, so the iteration only
@@ -376,15 +377,15 @@ def roots_numeric(f: Polynomial, tol: float = 1e-12) -> list[complex]:
     fixed 0.4 offset, which keeps runs deterministic and avoids symmetric
     stagnation.
 
-    Raises ConvergenceError when the residual test |f(z)| <= tol * scale(z)
-    is still failing after the iteration cap.
+    Raises ConvergenceError when the residual test |f(z)| <= ABERTH_TOL *
+    scale(z) is still failing after the iteration cap.
     """
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no well-defined roots")
     zero_mult, nonzero_part = f.strip_zero_roots()
     out: list[complex] = [0j] * zero_mult
     for factor, mult in square_free_decomposition(nonzero_part):
-        for root in _aberth([complex(c) for c in factor.coeffs], tol):
+        for root in _aberth([complex(c) for c in factor.coeffs]):
             out.extend([root] * mult)
     out.sort(key=lambda z: (z.real, z.imag))
     return out
@@ -409,7 +410,7 @@ def _residual_scale(coeffs: list[complex], z: complex) -> float:
     return max(scale, 1e-300)
 
 
-def _aberth(coeffs: list[complex], tol: float) -> list[complex]:
+def _aberth(coeffs: list[complex]) -> list[complex]:
     d = len(coeffs) - 1
     if d <= 0:
         return []
@@ -426,7 +427,7 @@ def _aberth(coeffs: list[complex], tol: float) -> list[complex]:
         moved = 0.0
         for j in range(d):
             p, dp = _poly_eval_with_deriv(coeffs, z[j])
-            if abs(p) > tol * _residual_scale(coeffs, z[j]):
+            if abs(p) > ABERTH_TOL * _residual_scale(coeffs, z[j]):
                 converged = False
             if p == 0:
                 continue
@@ -454,7 +455,7 @@ def _aberth(coeffs: list[complex], tol: float) -> list[complex]:
             break
     residuals = [abs(_poly_eval_with_deriv(coeffs, zj)[0]) for zj in z]
     if all(
-        r <= tol * _residual_scale(coeffs, zj) for r, zj in zip(residuals, z)
+        r <= ABERTH_TOL * _residual_scale(coeffs, zj) for r, zj in zip(residuals, z)
     ):
         return z
     raise ConvergenceError(
@@ -482,7 +483,7 @@ def _rational_roots(factor: Polynomial) -> list[GaussianRational]:
     """The numeric roots of a square-free factor, rationalized, that are
     distinct exact roots of it: all of its roots exactly when it splits."""
     found: list[GaussianRational] = []
-    for z in _aberth([complex(c) for c in factor.coeffs], 1e-12):
+    for z in _aberth([complex(c) for c in factor.coeffs]):
         cand = rationalize(z)
         if cand not in found and factor.evaluate(cand).is_zero():
             found.append(cand)

@@ -299,7 +299,7 @@ def _float_resultants(asc: list[float], count: int) -> list[float] | None:
     if abs(asc[-1]) < 1e-12:
         return None
     try:
-        roots = _aberth([complex(c) for c in asc], 1e-12)
+        roots = _aberth([complex(c) for c in asc])
     except Exception:
         return None
     lead = asc[-1]

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    DegreeGuardError,
     InternalCheckError,
     PreconditionError,
     RootOfUnityError,
     ZeroPolynomialError,
 )
-from .gaussian import GaussianRational
+from .gaussian import GaussianInteger, GaussianRational
 from .polycore import (
     Polynomial,
     has_root_of_unity,
@@ -29,6 +30,10 @@ from .polycore import (
 )
 
 COMPANION_CROSS_CHECK_LIMIT = 16
+# The largest sequence request: a dense Gaussian-rational f of degree 16 with
+# small denominators takes about 10 s for 64 terms, an integer one under 0.5 s.
+SEQUENCE_DEGREE_LIMIT = 16
+SEQUENCE_LENGTH_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,9 @@ class ResultantSequence:
             raise IndexError(f"index {m} outside 1..{len(self.values)}")
         return self.values[m - 1]
 
+    def __iter__(self) -> Iterator[GaussianRational]:
+        return iter(self.values)
+
     def has_zero(self) -> bool:
         return any(v.is_zero() for v in self.values)
 
@@ -73,12 +81,12 @@ class ResultantSequence:
 
 
 # ---------------------------------------------------------------------------
-# exact determinants
+# the exact determinant and the one choice of exact arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _det_bareiss_int(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
+def _det_bareiss(m: list[list]):
+    """Fraction-free (Bareiss) determinant over Z or Z[i]: every division is exact."""
     n = len(m)
     if n == 0:
         return 1
@@ -102,40 +110,18 @@ def _det_bareiss_int(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_field(m: list[list[GaussianRational]]) -> GaussianRational:
-    """Exact determinant over the Gaussian rationals (plain elimination)."""
-    n = len(m)
-    if n == 0:
-        return GaussianRational(1)
-    m = [row[:] for row in m]
-    det = GaussianRational(1)
-    for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if not m[r][k].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return GaussianRational(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det = det * pivot
-        for r in range(k + 1, n):
-            if not m[r][k].is_zero():
-                factor = m[r][k] / pivot
-                for c in range(k, n):
-                    m[r][c] = m[r][c] - factor * m[k][c]
-    return det
+def _cleared(f: Polynomial) -> tuple[list, int]:
+    """(F, c): ascending coefficients of F = c*f, c the least common
+    denominator of f's parts.  The one choice of exact arithmetic: F is on
+    Python ints when f is real and on GaussianInteger otherwise."""
+    c = math.lcm(*(q.denominator for a in f.coeffs for q in (a.re, a.im)))
+    coeffs = [GaussianInteger(int(a.re * c), int(a.im * c)) for a in f.coeffs]
+    return ([a.real for a in coeffs] if f.is_real() else coeffs), c
 
 
-def _det_exact(m: list[list[GaussianRational]]) -> GaussianRational:
-    if all(c.is_integer() for row in m for c in row):
-        return GaussianRational(
-            _det_bareiss_int([[c.re.numerator for c in row] for row in m])
-        )
-    return _det_field(m)
+def _over(q, s: int) -> GaussianRational:
+    """q / s for q in Z or Z[i] and a positive integer s."""
+    return GaussianRational(Fraction(q.real, s), Fraction(q.imag, s) if q.imag else 0)
 
 
 def _sylvester(fd: list, gd: list, zero) -> list[list]:
@@ -153,44 +139,19 @@ def resultant(f: Polynomial, g: Polynomial) -> GaussianRational:
     """Res(f, g) = lead(f)^deg(g) * prod g(alpha_i), by Sylvester determinant.
 
     The Sylvester layout realizes the convention above with no extra sign.
-    Res(f, 1) = 1 by the empty-product convention.
+    Res(f, 1) = 1 by the empty-product convention.  The determinant is taken
+    on the cleared F = cf*f, G = cg*g: Res(F, G) / (cf^deg(g) * cg^deg(f)).
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("resultant of the zero polynomial")
-    return _det_exact(
-        _sylvester(
-            list(reversed(f.coeffs)), list(reversed(g.coeffs)), GaussianRational(0)
-        )
-    )
+    (fc, cf), (gc, cg) = _cleared(f), _cleared(g)
+    det = _det_bareiss(_sylvester(fc[::-1], gc[::-1], 0))
+    return _over(det, cf**g.degree * cg**f.degree)
 
 
 # ---------------------------------------------------------------------------
 # the sequence kernel and the three cyclic-resultant routes
 # ---------------------------------------------------------------------------
-#
-# Every f runs on F = c*f, c the least common denominator of all real and
-# imaginary parts, so r_m(F) lies in Z[i] and r_m(f) = r_m(F) / c^m.  A real
-# F runs on Python ints, a non-real F on integral Gaussian rationals; each
-# arithmetic is (zero, one, determinant, map r_m(F), c^m -> r_m(f)).
-_INTS = (0, 1, _det_bareiss_int, lambda v, s: GaussianRational(Fraction(v, s)))
-_GAUSSIAN = (
-    GaussianRational(0),
-    GaussianRational(1),
-    _det_field,
-    lambda v, s: GaussianRational(Fraction(v.re, s), Fraction(v.im, s)),
-)
-
-
-def _cleared(f: Polynomial) -> tuple:
-    """(lead a_d, tail [-a_0 .. -a_(d-1)], c, arithmetic) of F = c*f."""
-    c = 1
-    for a in f.coeffs:
-        c = math.lcm(c, a.re.denominator, a.im.denominator)
-    if f.is_real():
-        coeffs, arith = [a.re.numerator * (c // a.re.denominator) for a in f.coeffs], _INTS
-    else:
-        coeffs, arith = [a * c for a in f.coeffs], _GAUSSIAN
-    return coeffs[-1], [-a for a in coeffs[:-1]], c, arith
 
 
 def _exact_div(num, den, m: int):
@@ -234,13 +195,6 @@ def _times_companion(power: list[list], lead, tail: list) -> list[list]:
     return out
 
 
-def _minus_scalar(power: list[list], scalar) -> list[list]:
-    return [
-        [x - scalar if i == j else x for j, x in enumerate(row)]
-        for i, row in enumerate(power)
-    ]
-
-
 def _companion_values(f: Polynomial) -> Iterator[GaussianRational]:
     """r_m = lead^m * det(C^m - I) for m = 1, 2, ..., C the companion matrix.
 
@@ -248,14 +202,17 @@ def _companion_values(f: Polynomial) -> Iterator[GaussianRational]:
     r_m(F) = det(B^m - lead^m I) / lead^(m(d-1)), a checked division.
     """
     d = f.degree
-    lead, tail, c, (zero, one, det, value) = _cleared(f)
-    power = [[one if i == j else zero for j in range(d)] for i in range(d)]
-    scale = one
+    coeffs, c = _cleared(f)
+    lead, tail = coeffs[-1], [-a for a in coeffs[:-1]]
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    scale = 1
     for m in itertools.count(1):
         power = _times_companion(power, lead, tail)
         scale = scale * lead
-        delta = det(_minus_scalar(power, scale))
-        yield value(_exact_div(delta * scale, scale**d, m), c**m)
+        delta = _det_bareiss(
+            [row[:i] + [row[i] - scale] + row[i + 1 :] for i, row in enumerate(power)]
+        )
+        yield _over(_exact_div(delta * scale, scale**d, m), c**m)
 
 
 def _reduced_values(f: Polynomial) -> Iterator[GaussianRational]:
@@ -270,10 +227,10 @@ def _reduced_values(f: Polynomial) -> Iterator[GaussianRational]:
     if d == 0:
         yield from (f.leading**m for m in itertools.count(1))
         return
-    lead, tail, c, (zero, one, det, value) = _cleared(f)
-    fd = [lead] + [-a for a in reversed(tail)]
-    power = [one] + [zero] * (d - 1)
-    scale = one
+    coeffs, c = _cleared(f)
+    lead, tail = coeffs[-1], [-a for a in coeffs[:-1]]
+    power = [1] + [0] * (d - 1)
+    scale = 1
     for m in itertools.count(1):
         power = _times_x(power, lead, tail)
         scale = scale * lead
@@ -285,12 +242,8 @@ def _reduced_values(f: Polynomial) -> Iterator[GaussianRational]:
             yield GaussianRational(0)
             continue
         e = len(g) - 1
-        res = det(_sylvester(fd, g[::-1], zero))
-        yield value(_exact_div(lead ** (m - e) * res, scale**d, m), c**m)
-
-
-def _x_power_minus_one(m: int) -> Polynomial:
-    return Polynomial([-1] + [0] * (m - 1) + [1])
+        res = _det_bareiss(_sylvester(coeffs[::-1], g[::-1], 0))
+        yield _over(_exact_div(lead ** (m - e) * res, scale**d, m), c**m)
 
 
 def cyclic_resultant(f: Polynomial, m: int, method: str = "direct"):
@@ -307,7 +260,7 @@ def cyclic_resultant(f: Polynomial, m: int, method: str = "direct"):
     if f.is_zero():
         raise ZeroPolynomialError("cyclic resultant of the zero polynomial")
     if method == "direct":
-        return resultant(f, _x_power_minus_one(m))
+        return resultant(f, Polynomial([-1] + [0] * (m - 1) + [1]))
     if method == "companion":
         return next(itertools.islice(_companion_values(f), m - 1, None))
     if method == "roots":
@@ -316,6 +269,17 @@ def cyclic_resultant(f: Polynomial, m: int, method: str = "direct"):
             value *= alpha**m - 1
         return value
     raise ValueError(f"unknown method {method!r}")
+
+
+def _check_size(f: Polynomial, length: int) -> None:
+    if f.degree > SEQUENCE_DEGREE_LIMIT or length > SEQUENCE_LENGTH_LIMIT:
+        raise DegreeGuardError(
+            "sequence request is too large",
+            degree=f.degree,
+            length=length,
+            degree_limit=SEQUENCE_DEGREE_LIMIT,
+            length_limit=SEQUENCE_LENGTH_LIMIT,
+        )
 
 
 def _terms(f: Polynomial, length: int) -> Iterator[GaussianRational]:
@@ -330,6 +294,7 @@ def _terms(f: Polynomial, length: int) -> Iterator[GaussianRational]:
         raise ValueError("sequence length must be >= 1")
     if f.is_zero():
         raise ZeroPolynomialError("sequence of the zero polynomial")
+    _check_size(f, length)
     checks = _companion_values(f)
     for m, value in zip(range(1, length + 1), _reduced_values(f)):
         if m <= COMPANION_CROSS_CHECK_LIMIT:
@@ -499,6 +464,7 @@ def sign_data(f: Polynomial) -> SignData:
 
 def abs_sequence(f: Polynomial, length: int) -> ResultantSequence:
     """|r_m| for m = 1..length, computed exactly via the sign decomposition."""
+    _check_size(f, length)
     data = sign_data(f)
     base = sequence(f, length)
     values = []

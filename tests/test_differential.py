@@ -1,5 +1,6 @@
 """Differential tests against sympy: the sequence kernel, the Sylvester
-resultant and the characteristic polynomial, on random exact inputs.
+resultant, the Bareiss determinant and the characteristic polynomial, on
+random exact inputs.
 
 sympy 1.14's resultant(f, g) returns the negative of its own Sylvester
 determinant when deg f < deg g and deg f * deg g is odd (e.g. x - 2 against
@@ -13,9 +14,10 @@ from fractions import Fraction
 import pytest
 
 from cycres.dynamics import IntegerMatrix, char_poly
+from cycres.gaussian import GaussianInteger
 from cycres.gaussian import GaussianRational as G
 from cycres.polycore import Polynomial
-from cycres.resultants import COMPANION_CROSS_CHECK_LIMIT, resultant, sequence
+from cycres.resultants import COMPANION_CROSS_CHECK_LIMIT, _det_bareiss, resultant, sequence
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -89,3 +91,55 @@ def test_char_poly_matches_sympy():
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         expected = sympy.Matrix(rows).charpoly(X).all_coeffs()[::-1]
         assert list(char_poly(IntegerMatrix.of(rows)).coeffs) == [G(int(c)) for c in expected]
+
+
+def entry(rng, gaussian: bool):
+    if gaussian:
+        return GaussianInteger(rng.randint(-6, 6), rng.randint(-6, 6))
+    return rng.randint(-9, 9)
+
+
+def shaped(rng, n: int, gaussian: bool, shape: str) -> list[list]:
+    """A random n x n matrix.  "swap" zeroes the leading pivot and, from n = 3,
+    the pivot that elimination meets next, so both steps must swap rows;
+    "singular" makes the last row the sum of two others (twice the first when
+    n = 2, zero when n = 1)."""
+    rows = [[entry(rng, gaussian) for _ in range(n)] for _ in range(n)]
+    if shape == "swap" and n > 1:
+        rows[0][0] = 0
+        rows[1][0] = rows[1][0] or 1
+        if n > 2:
+            rows[0][1] = 0
+    elif shape == "singular":
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[n - 2])] if n > 1 else [0]
+    return rows
+
+
+def as_gaussian(v) -> G:
+    return G(v.real, v.imag)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["int", "gaussian"])
+def test_bareiss_determinant_matches_sympy(gaussian):
+    rng = random.Random(91 + gaussian)
+    for n in range(1, 8):
+        for shape in ("random", "swap", "singular"):
+            rows = shaped(rng, n, gaussian, shape)
+            copy = [row[:] for row in rows]
+            # field elimination over sympy's domain, not a fraction-free method
+            matrix = sympy.Matrix([[x.real + sympy.I * x.imag for x in row] for row in rows])
+            expected = from_sympy(matrix.det(method="domain-ge"))
+            assert as_gaussian(_det_bareiss(rows)) == expected, (shape, rows)
+            assert rows == copy
+            if shape == "singular":
+                assert expected == 0
+
+
+def test_resultant_with_a_constant_or_mixed_pairs_matches_sympy():
+    rng = random.Random(93)
+    for k in range(40):
+        gaussian = k % 2 == 0
+        f = random_poly(rng, rng.randint(0, 4) if k % 4 else 0, gaussian)
+        g = random_poly(rng, rng.randint(0, 4), not gaussian)
+        assert resultant(f, g) == sympy_resultant(f, g), (f, g)
+        assert resultant(g, f) == sympy_resultant(g, f), (g, f)

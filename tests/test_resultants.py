@@ -1,10 +1,15 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from cycres import resultants
+from cycres.cli import main
 from cycres.errors import (
+    DegreeGuardError,
     InternalCheckError,
     PreconditionError,
     RootOfUnityError,
@@ -366,3 +371,71 @@ class TestAbsSequence:
                 a.re == abs(p.re) for a, p in zip(via_signs.values, plain.values)
             )
             done += 1
+
+
+class TestIteration:
+    def test_iterates_over_the_values_in_order(self):
+        seq = sequence(parse("x-2"), 3)
+        assert list(seq) == [G(1), G(3), G(7)]
+        assert seq[1] == G(1)  # indexing stays 1-based
+        with pytest.raises(IndexError):
+            seq[0]
+
+    def test_reproduces_accepts_a_sequence(self):
+        f = parse("2*x^2-3*x+5")
+        assert reproduces(f, sequence(f, 5))
+        assert not reproduces(parse("x-2"), sequence(parse("x+2"), 3))
+
+
+class TestSizeGuard:
+    @property
+    def DEGREE(self) -> int:
+        return resultants.SEQUENCE_DEGREE_LIMIT
+
+    @property
+    def LENGTH(self) -> int:
+        return resultants.SEQUENCE_LENGTH_LIMIT
+
+    def test_at_the_limits(self):
+        assert self.DEGREE >= 16 and self.LENGTH >= 64  # the benchmark's largest sizes
+        assert len(sequence(parse(f"x^{self.DEGREE}-2"), 2)) == 2
+        assert sequence(parse("x-2"), self.LENGTH)[self.LENGTH] == G(2**self.LENGTH - 1)
+
+    def test_degree_above_the_limit(self, monkeypatch):
+        f = parse(f"x^{self.DEGREE + 1}-2")
+
+        def no_work(*args):
+            raise AssertionError("work started before the size guard")
+
+        for name in ("_reduced_values", "_companion_values", "sign_data"):
+            monkeypatch.setattr(resultants, name, no_work)
+        for call in (
+            lambda: sequence(f, 1),
+            lambda: abs_sequence(f, 1),
+            lambda: reproduces(f, [1]),
+        ):
+            with pytest.raises(DegreeGuardError) as info:
+                call()
+            assert info.value.context["degree"] == self.DEGREE + 1
+
+    def test_length_above_the_limit(self):
+        f = parse("x-2")
+        for call in (
+            lambda: sequence(f, self.LENGTH + 1),
+            lambda: abs_sequence(f, self.LENGTH + 1),
+            lambda: reproduces(f, [1] * (self.LENGTH + 1)),
+        ):
+            with pytest.raises(DegreeGuardError) as info:
+                call()
+            assert info.value.context["length"] == self.LENGTH + 1
+
+    def test_cli_exits_2(self):
+        for argv in (
+            ["seq", "--poly", f"x^{self.DEGREE + 1}-2", "--n", "1"],
+            ["seq", "--poly", "x-2", "--n", str(self.LENGTH + 1), "--abs"],
+            ["equiv", "--poly", "x^2-5*x+6", "--check", str(self.LENGTH + 1)],
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 2
+            assert json.loads(out.getvalue())["code"] == "degree_guard"

@@ -4,23 +4,18 @@ An integer matrix A acts on the d-torus by multiplication mod 1.  When no
 eigenvalue is a root of unity (the ergodic case) the number of points fixed
 by the m-th iterate is |det(A^m - I)|, which is also the absolute m-th cyclic
 resultant of the characteristic polynomial, so the counts are read from
-:func:`cycres.resultants.sequence`.  Everything except the spectrum-recovery
-test runs in exact integer arithmetic.
+:func:`cycres.resultants.sequence`.  Everything runs in exact integer
+arithmetic.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, PreconditionError
-from .equivalence import root_subset_products
+from .equivalence import _subset_product_in
 from .genfun import PowerSeries, exp_neg_weighted_series_exact
 from .polycore import Polynomial, has_root_of_unity
 from .resultants import sequence
-
-
-class SpectrumToleranceWarning(UserWarning):
-    """A subset product landed near the +-1 decision threshold."""
 
 
 @dataclass(frozen=True)
@@ -132,22 +127,12 @@ def zeta_series(a: IntegerMatrix, order: int) -> PowerSeries:
     return PowerSeries(tuple(complex(b) for b in exact))
 
 
-def spectrum_determined(a: IntegerMatrix, tol: float = 1e-8) -> bool:
+def spectrum_determined(a: IntegerMatrix) -> bool:
     """Whether the periodic-point counts pin down the eigenvalues.
 
     Sufficient condition: no nonempty subset of the eigenvalues has product
-    within tol of +1 or -1.  Exhaustive over all 2^d - 1 subsets (d <= 20),
-    on numeric eigenvalues; products inside 10*tol of the threshold emit a
-    SpectrumToleranceWarning since the verdict is then numerically fragile.
+    +1 or -1, decided exactly on the characteristic polynomial's companion
+    matrix (degree <= SUBSET_SCAN_LIMIT).
     """
     _require_ergodic(a)
-    for p in root_subset_products(char_poly(a)):
-        gap = min(abs(p - 1), abs(p + 1))
-        if gap <= tol:
-            return False
-        if gap <= 10 * tol:
-            warnings.warn(
-                f"subset product {p!r} is within 10x tolerance of +-1",
-                SpectrumToleranceWarning,
-            )
-    return True
+    return not _subset_product_in(char_poly(a), (1, -1))

@@ -25,17 +25,16 @@ from .errors import (
     ZeroResultantError,
 )
 from .gaussian import GaussianRational
-from .polycore import (
-    Polynomial,
-    has_root_of_unity,
-    nonzero_roots,
-    rationalize,
-    roots_numeric,
-)
-from .resultants import reproduces, sequence
+from .polycore import Polynomial, has_root_of_unity, nonzero_roots, rationalize
+from .resultants import _cleared, _det_bareiss, _times_companion, reproduces, sequence
 
 DEFAULT_CHECK_LENGTH = 10
-SUBSET_SCAN_LIMIT = 20
+# Root-subset work grows 3-8x per degree.  The slowest request measured at
+# degree 8, an `equiv` on a split Gaussian base, takes about 6 s on a 2-CPU
+# machine (Python 3.11); at degree 9 it takes 19 s.
+SUBSET_SCAN_LIMIT = 8
+# Float roots closer than this are one root when grouping conjugation orbits.
+ORBIT_MATCH_TOL = 1e-9
 
 
 def generic_family_size(d: int) -> int:
@@ -215,12 +214,12 @@ def _family(
 # ---------------------------------------------------------------------------
 
 
-def _conjugation_orbits(roots, exact: bool, tol: float = 1e-9):
+def _conjugation_orbits(roots, exact: bool):
     """Group roots into conjugation orbits with multiplicity: [(orbit, mult)]
     in order of first appearance, orbit being (r,) for a real root and
-    (r, its conjugate) otherwise.  Float roots compare within tol."""
+    (r, its conjugate) otherwise.  Float roots compare within ORBIT_MATCH_TOL."""
     def same(a, b):
-        return a == b if exact else abs(a - b) <= tol
+        return a == b if exact else abs(a - b) <= ORBIT_MATCH_TOL
 
     distinct: list[list] = []  # [root, multiplicity]
     for r in roots:
@@ -233,7 +232,7 @@ def _conjugation_orbits(roots, exact: bool, tol: float = 1e-9):
     orbits = []
     while distinct:
         r, mult = distinct.pop(0)
-        if r.is_real() if exact else abs(r.imag) <= tol:
+        if r.is_real() if exact else abs(r.imag) <= ORBIT_MATCH_TOL:
             orbits.append(((r,), mult))
             continue
         i = next((i for i, (s, _) in enumerate(distinct) if same(s, r.conjugate())), None)
@@ -333,23 +332,37 @@ def reciprocal_uniqueness_check(
     )
 
 
-def root_subset_products(g: Polynomial) -> list[complex]:
-    """Products of the numeric roots of g over all 2^d - 1 nonempty subsets
-    of the root multiset, d <= SUBSET_SCAN_LIMIT."""
+def _subset_product_in(g: Polynomial, targets) -> bool:
+    """Whether some nonempty subset of g's roots (a multiset) has its product
+    in targets, exactly.  With B = lead * companion(g) on the cleared
+    coefficients, the k-subset products times lead^k are the eigenvalues of
+    the compound C_k(B), the matrix of all k x k minors of B, so some k-subset
+    product is t exactly when det(C_k(B) - t * lead^k * I) = 0."""
     if g.is_zero():
         raise ZeroPolynomialError("zero polynomial")
     d = g.degree
     if d > SUBSET_SCAN_LIMIT:
-        raise DegreeGuardError("root-subset scan is exponential", degree=d)
-    products = [1 + 0j]
-    for alpha in roots_numeric(g):
-        products.extend([p * alpha for p in products])
-    return products[1:]
+        raise DegreeGuardError("root-subset decision is exponential", degree=d)
+    coeffs, _ = _cleared(g)
+    lead, tail = coeffs[-1], [-a for a in coeffs[:-1]]
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    b = _times_companion(identity, lead, tail)
+    for k in range(1, d + 1):
+        subsets = list(itertools.combinations(range(d), k))
+        c_k = [
+            [_det_bareiss([[b[i][j] for j in cols] for i in rows]) for cols in subsets]
+            for rows in subsets
+        ]
+        for s in (t * lead**k for t in targets):
+            shifted = [r[:i] + [r[i] - s] + r[i + 1 :] for i, r in enumerate(c_k)]
+            if not _det_bareiss(shifted):
+                return True
+    return False
 
 
-def monic_degenerate(g: Polynomial, tol: float = 1e-8) -> bool:
-    """Whether some nonempty subset of g's roots has product within tol of 1.
+def monic_degenerate(g: Polynomial) -> bool:
+    """Whether some nonempty subset of g's roots has product exactly 1.
 
     This is the degeneracy that breaks monic uniqueness.
     """
-    return any(abs(p - 1) <= tol for p in root_subset_products(g))
+    return _subset_product_in(g, (1,))

@@ -160,6 +160,9 @@ def _exact_div(num, den, m: int):
         return num
     if isinstance(num, int):
         q, r = divmod(num, den)
+    elif isinstance(num, GaussianInteger):
+        q = num.quotient(den)
+        r = q is None
     else:
         q = num / den
         r = q.re.denominator != 1 or q.im.denominator != 1

@@ -5,7 +5,7 @@ import random
 
 from cycres.gaussian import GaussianRational as G
 from cycres.groupring import BinomialProduct, FgAbelianGroup
-from cycres.polycore import Polynomial, has_root_of_unity
+from cycres.polycore import Polynomial, has_root_of_unity, try_exact_roots
 
 # The CLI tests also run `python -m cycres.cli` in a child process, which does
 # not see pytest's `pythonpath` setting, so the source tree goes on its path.
@@ -23,6 +23,18 @@ def random_poly_without_unity(rng, max_degree, lo=-9, hi=9, monic=False):
         p = Polynomial(coeffs)
         if p.degree >= 1 and not has_root_of_unity(p):
             return p
+
+
+def exact_subset_products(g):
+    """All 2^d - 1 nonempty subset products of the roots of g, a multiset,
+    as exact Gaussian rationals; g must split over them."""
+    zeros, h = g.strip_zero_roots()
+    roots = try_exact_roots(h) if h.degree else []
+    assert roots is not None and len(roots) == h.degree, g
+    products = [G(1)]
+    for r in roots + [G(0)] * zeros:
+        products += [p * r for p in products]
+    return products[1:]
 
 
 def random_group_element(rng, group, nonzero_free=True):

@@ -6,11 +6,11 @@ import warnings
 
 import pytest
 
+from conftest import exact_subset_products
 from cycres import dynamics
 from cycres.cli import main
 from cycres.dynamics import (
     IntegerMatrix,
-    SpectrumToleranceWarning,
     char_poly,
     is_ergodic,
     periodic_point_count,
@@ -20,7 +20,7 @@ from cycres.dynamics import (
 )
 from cycres.errors import InternalCheckError, PreconditionError
 from cycres.genfun import exp_series
-from cycres.polycore import has_root_of_unity, parse
+from cycres.polycore import Polynomial, has_root_of_unity, parse
 from cycres.resultants import abs_sequence, cyclic_resultant
 
 DOUBLING = IntegerMatrix.of([[2]])
@@ -152,16 +152,95 @@ class TestSpectrumRecovery:
         assert not spectrum_determined(FIB_LIKE)  # determinant 1
         assert spectrum_determined(IntegerMatrix.of([[3, 1], [1, 1]]))
 
-    def test_near_threshold_warns(self):
+    def test_near_threshold_verdict_is_exact(self):
+        # eigenvalues 2 +- sqrt(2): the subset product 2 - sqrt(2) lies near 1,
+        # but no subset product is exactly +-1, and no warning is raised
         m = IntegerMatrix.of([[3, 1], [1, 1]])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            verdict = spectrum_determined(m, tol=0.55)
-            assert verdict is False or any(
-                isinstance(w.message, SpectrumToleranceWarning) for w in caught
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectrum_determined(m) is True
 
     def test_matrix_json_roundtrip(self):
         data = FIB_LIKE.to_json()
         assert data == {"n": 2, "entries": [["2", "1"], ["1", "1"]]}
         assert IntegerMatrix.from_json(data) == FIB_LIKE
+
+
+def _block_companion(polys):
+    """Block-diagonal integer matrix of the companion matrices of monic
+    integer polynomials, each given by ascending coefficients below the lead."""
+    n = sum(len(p) for p in polys)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for p in polys:
+        d = len(p)
+        for i in range(d):
+            if i:
+                rows[at + i][at + i - 1] = 1
+            rows[at + i][at + d - 1] = -p[i]
+        at += d
+    return rows
+
+
+def _conjugated(rng, rows, steps=4):
+    """U A U^-1 for a random unimodular U made of elementary row additions."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for k in range(n):
+            a[i][k] += c * a[j][k]
+        for k in range(n):
+            a[k][j] -= c * a[k][i]
+    return IntegerMatrix.of(a)
+
+
+class TestExactSpectrumDecision:
+    def test_split_matrices_agree_with_exact_oracle(self):
+        # an ergodic integer matrix whose eigenvalues are Gaussian rationals
+        # has Gaussian-integer eigenvalues, none a unit, so the exact subset
+        # products never reach +-1 and the counts pin the spectrum down
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            diag = [rng.choice([-3, -2, 0, 2, 3, 4]) for _ in range(n)]
+            upper = [
+                [diag[i] if i == j else rng.randint(-2, 2) * (j > i) for j in range(n)]
+                for i in range(n)
+            ]
+            a = _conjugated(rng, upper)
+            products = exact_subset_products(char_poly(a))
+            assert spectrum_determined(a) == (1 not in products and -1 not in products)
+
+    def test_planted_products_of_minus_one_and_one(self):
+        # a factor x^2 - a x - 1 has two eigenvalues of product -1, x^2 - a x + 1
+        # (|a| >= 3) two of product 1, x^3 + b x^2 + c x -+ 1 three of product +-1
+        rng = random.Random(12)
+        for case in range(30):
+            a = rng.choice([-3, -2, -1, 1, 2, 3])
+            planted = [
+                [-1, -a],
+                [1, -rng.choice([-4, -3, 3, 4])],
+                [rng.choice([-1, 1]), rng.choice([-5, 5]), rng.randint(-2, 2)],
+            ][case % 3]
+            other = [rng.choice([-3, -2, 2, 3])] if case % 2 else [6, -5]
+            m = _conjugated(rng, _block_companion([planted, other]))
+            assert char_poly(m) == Polynomial(planted + [1]) * Polynomial(other + [1])
+            assert is_ergodic(m), m
+            assert not spectrum_determined(m)
+        assert spectrum_determined(_conjugated(rng, _block_companion([[2, -5], [3]])))
+
+    def test_above_the_limit_raises_before_any_determinant(self, monkeypatch):
+        from cycres import equivalence
+        from cycres.errors import DegreeGuardError
+
+        def no_det(m):
+            raise AssertionError("determinant before the degree guard")
+
+        monkeypatch.setattr(equivalence, "_det_bareiss", no_det)
+        d = equivalence.SUBSET_SCAN_LIMIT + 1
+        m = IntegerMatrix.of(_block_companion([[-2] + [0] * (d - 1)]))  # x^d - 2
+        with pytest.raises(DegreeGuardError) as info:
+            spectrum_determined(m)
+        assert info.value.context["degree"] == d

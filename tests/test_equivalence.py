@@ -1,9 +1,14 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import exact_subset_products
 from cycres import equivalence
+from cycres.cli import main
 from cycres.equivalence import (
     EquivalenceFamily,
     equivalent_family,
@@ -15,9 +20,11 @@ from cycres.equivalence import (
     verify_same_resultants,
 )
 from cycres.errors import (
+    DegreeGuardError,
     InternalCheckError,
     PreconditionError,
     RootOfUnityError,
+    ZeroPolynomialError,
     ZeroResultantError,
 )
 from cycres.gaussian import GaussianRational as G
@@ -308,3 +315,88 @@ class TestMonicDegenerate:
         g = parse("2*x^2-5*x+2")
         fam = equivalent_family(g)
         assert len(fam) < generic_family_size(2) + 1
+
+
+def _planted_split_input(rng):
+    """(roots, lead): small Gaussian-rational roots, with planted repeats, zero
+    roots, near-1 roots, and pairs and triples of product +1 or -1."""
+    def small():
+        im = rng.choice([0, 0, Fraction(rng.randint(-3, 3), rng.randint(1, 2))])
+        return G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), im)
+
+    roots = [r for r in (small() for _ in range(rng.randint(1, 3))) if r != 0]
+    for _ in range(rng.randint(0, 2)):
+        unit = G(rng.choice([1, -1]))
+        kind = rng.choice(["repeat", "zero", "pair", "triple", "near"])
+        nonzero = [r for r in roots if r != 0]
+        if kind == "repeat" and roots:
+            roots.append(rng.choice(roots))
+        elif kind == "zero":
+            roots.append(G(0))
+        elif kind == "pair" and nonzero:
+            roots.append(unit / rng.choice(nonzero))
+        elif kind == "triple" and len(nonzero) >= 2:
+            a, b = rng.sample(nonzero, 2)
+            roots.append(unit / (a * b))
+        else:
+            roots.append(unit * G(Fraction(rng.randint(5, 9), rng.randint(4, 10))))
+    lead = rng.choice([G(1), G(2), G(-3), G(Fraction(1, 2)), G(2, 1), G(0, 3)])
+    return roots[:6] or [G(2)], lead
+
+
+class TestExactSubsetDecision:
+    def test_near_one_root_is_not_degenerate(self):
+        # the only root is 1.000000001, which a float tolerance of 1e-8 calls 1
+        assert not monic_degenerate(parse("1000000000*x-1000000001"))
+        assert monic_degenerate(parse("1000000000*x-1000000000"))
+
+    def test_zero_polynomial(self):
+        with pytest.raises(ZeroPolynomialError):
+            monic_degenerate(Polynomial([0]))
+
+    def test_agrees_with_exact_oracle(self):
+        # split inputs, so all 2^d - 1 subset products are exact Gaussian rationals
+        rng = random.Random(10)
+        seen = set()
+        for _ in range(150):
+            roots, lead = _planted_split_input(rng)
+            g = Polynomial.from_roots(roots, lead)
+            products = exact_subset_products(g)
+            verdict = []
+            for targets in ((1,), (1, -1)):
+                want = any(t in products for t in targets)
+                assert equivalence._subset_product_in(g, targets) == want, (
+                    format_poly(g),
+                    targets,
+                )
+                verdict.append(want)
+            assert monic_degenerate(g) == verdict[0]
+            seen.add(tuple(verdict))
+        # product 1, product -1 only, and neither all occur
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_above_the_limit_raises_before_any_determinant(self, monkeypatch):
+        def no_det(m):
+            raise AssertionError("determinant before the degree guard")
+
+        d = equivalence.SUBSET_SCAN_LIMIT + 1
+        assert not monic_degenerate(parse(f"x^{d - 1}-2"))  # every |product| > 1
+        monkeypatch.setattr(equivalence, "_det_bareiss", no_det)
+        with pytest.raises(DegreeGuardError) as info:
+            monic_degenerate(parse(f"x^{d}-2"))
+        assert info.value.context["degree"] == d
+
+    def test_equiv_above_the_limit_exits_2_before_root_finding(self, monkeypatch):
+        def no_roots(f):
+            raise AssertionError("root finding before the degree guard")
+
+        monkeypatch.setattr(equivalence, "nonzero_roots", no_roots)
+        d = equivalence.SUBSET_SCAN_LIMIT + 1
+        for argv in (
+            ["equiv", "--poly", f"x^{d}-2"],
+            ["equiv", "--real", "--poly", f"x^{d}+x+3"],
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 2
+            assert json.loads(out.getvalue())["code"] == "degree_guard"

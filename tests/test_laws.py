@@ -4,6 +4,7 @@ past the companion cross-check's limit:
 
     r_m(f g)     = r_m(f) r_m(g)        (multiplicativity)
     r_m(x^l h)   = (-1)^l r_m(h)        (Res(x, x^m - 1) = -1)
+    sign(r_m)    = sign_data(f).sign_at(m)   (the sign law, for real f)
 
 The examples are derandomized so the suite is repeatable.
 """
@@ -13,8 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cycres.gaussian import GaussianRational as G
-from cycres.polycore import Polynomial
-from cycres.resultants import COMPANION_CROSS_CHECK_LIMIT, sequence
+from cycres.polycore import Polynomial, has_root_of_unity
+from cycres.resultants import COMPANION_CROSS_CHECK_LIMIT, sequence, sign_data
 
 N = 24
 LAWS = settings(
@@ -60,3 +61,17 @@ def test_x_shift_law(h, l):
     shifted = sequence(h * Polynomial.x(l), N)
     for m, value in enumerate(sequence(h, N), 1):
         assert shifted[m] == sign * value, (h, l, m)
+
+
+@LAWS
+@given(
+    st.lists(coefficients(gaussian=False), min_size=2, max_size=5)
+    .filter(lambda cs: cs[-1] != 0 and cs[-1] != 1)
+    .map(Polynomial)
+    .filter(lambda f: not has_root_of_unity(f))
+)
+def test_sign_law(f):
+    signs = sign_data(f)
+    for m, value in enumerate(sequence(f, N), 1):
+        assert value.is_real() and value.re != 0, (f, m)
+        assert (1 if value.re > 0 else -1) == signs.sign_at(m), (f, m)

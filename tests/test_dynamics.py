@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from conftest import exact_subset_products
-from cycres import dynamics
+from cycres import dynamics, equivalence
 from cycres.cli import main
 from cycres.dynamics import (
     IntegerMatrix,
@@ -18,7 +18,7 @@ from cycres.dynamics import (
     spectrum_determined,
     zeta_series,
 )
-from cycres.errors import InternalCheckError, PreconditionError
+from cycres.errors import DegreeGuardError, InternalCheckError, PreconditionError
 from cycres.genfun import exp_series
 from cycres.polycore import Polynomial, has_root_of_unity, parse
 from cycres.resultants import abs_sequence, cyclic_resultant
@@ -232,9 +232,6 @@ class TestExactSpectrumDecision:
         assert spectrum_determined(_conjugated(rng, _block_companion([[2, -5], [3]])))
 
     def test_above_the_limit_raises_before_any_determinant(self, monkeypatch):
-        from cycres import equivalence
-        from cycres.errors import DegreeGuardError
-
         def no_det(m):
             raise AssertionError("determinant before the degree guard")
 

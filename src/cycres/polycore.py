@@ -491,11 +491,13 @@ def _rational_roots(factor: Polynomial) -> list[GaussianRational]:
 
 
 def try_exact_roots(f: Polynomial) -> list[GaussianRational] | None:
-    """Roots with multiplicity as exact Gaussian rationals, or None."""
+    """Roots with multiplicity as exact Gaussian rationals, or None.  Zero
+    roots are split off first and come first."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial")
-    out: list[GaussianRational] = []
-    for factor, mult in square_free_decomposition(f):
+    zero_mult, h = f.strip_zero_roots()
+    out: list[GaussianRational] = [GaussianRational(0)] * zero_mult
+    for factor, mult in square_free_decomposition(h):
         found = _rational_roots(factor)
         if len(found) < factor.degree:
             return None

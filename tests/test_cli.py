@@ -173,6 +173,17 @@ class TestReconstruct:
         assert len(data["candidates"]) == 4
         assert "3*x^3-10*x^2-29*x+84" in data["candidates"]
 
+    def test_ambiguous_monic_quartic_lists_both_answers(self, capsys):
+        # x^4-4*x^2-7*x+1 and its reversal share every r_m: a subset of the
+        # roots multiplies to 1
+        argv = ["reconstruct", "--degree", "4", "--monic",
+                "--values=-9,-45,-351,-3825,-20889"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["method"] == "groebner" and data["verified"] is True
+        assert sorted(data["candidates"]) == ["x^4-4*x^2-7*x+1", "x^4-7*x^3-4*x^2+1"]
+        assert data["polynomial"] in data["candidates"]
+
     @pytest.mark.parametrize(
         "flags, config, expected",
         [

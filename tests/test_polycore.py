@@ -266,3 +266,19 @@ class TestExactRoots:
     def test_multiplicity(self):
         roots = try_exact_roots(parse("x^2-4*x+4"))
         assert roots == [G(2), G(2)]
+
+    @pytest.mark.parametrize(
+        "text, nonzero",
+        [
+            ("x^3+(0-3i)*x^2+(-4+6i)*x", [G(2), G(-2, 3)]),
+            ("x^3+(1-2i)*x^2+(3+1i)*x", [G(-1, 3), G(0, -1)]),
+            ("x^4-4*x^3+4*x^2", [G(2), G(2)]),
+        ],
+    )
+    def test_zero_roots_come_first(self, text, nonzero):
+        # near z = 0 the residual scale is |c_0| = 0, so a zero root left in
+        # the Aberth iteration never passes its residual test
+        roots = try_exact_roots(parse(text))
+        zeros = len(roots) - len(nonzero)
+        assert roots[:zeros] == [G(0)] * zeros
+        assert sorted(roots[zeros:], key=G.sort_key) == sorted(nonzero, key=G.sort_key)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,13 @@ from cycres.errors import (
     PreconditionError,
     VerificationError,
 )
-from cycres.equivalence import equivalent_family
+from cycres.equivalence import equivalent_family, monic_degenerate
 from cycres.gaussian import GaussianRational as G
 from cycres.polycore import Polynomial, format_poly, has_root_of_unity, parse
 from cycres.reconstruct import (
+    ROUTES,
+    ReconstructionSpec,
+    _exact_answers,
     _linear_lead,
     _linear_lead_squared_variant,
     conjecture_harness,
@@ -22,9 +26,16 @@ from cycres.reconstruct import (
     invert_closed,
     invert_groebner,
     invert_newton,
+    reconstruct,
     symbolic_cyclic_resultant,
 )
-from cycres.resultants import abs_sequence, cyclic_resultant, sequence
+from cycres.resultants import (
+    ResultantSequence,
+    abs_sequence,
+    cyclic_resultant,
+    reproduces,
+    sequence,
+)
 
 
 def random_monic_without_unity(rng, d, lo=-9, hi=9, nonzero_constant=False):
@@ -182,7 +193,9 @@ class TestGroebnerRoute:
 
     def test_degree_guard(self):
         with pytest.raises(DegreeGuardError):
-            invert_groebner([1, 2, 3, 4, 5], 4, True)
+            invert_groebner([1, 2, 3, 4, 5, 6], 5, True)
+        with pytest.raises(DegreeGuardError):
+            invert_groebner([1, 2, 3, 4, 5], 4, False)
 
     def test_gaussian_valued_targets(self):
         f = Polynomial.from_roots([G(1, 1)])
@@ -243,6 +256,106 @@ class TestGroebnerRoute:
                     continue
                 assert f in invert_groebner(vals, d, True)
                 done += 1
+
+
+class TestMonicQuartics:
+    """The paper's monic theorem on the exact route: r_1..r_5 give every
+    monic quartic that fits, and a second one only when a nonempty subset
+    of the roots multiplies to 1."""
+
+    def test_every_answer_shares_the_whole_sequence(self):
+        rng = random.Random(78)
+        # x^4-4*x^2-7*x+1 shares its sequence with its reversal
+        quartics = [parse("x^4-4*x^2-7*x+1")]
+        quartics += [random_monic_without_unity(rng, 4) for _ in range(40)]
+        # (more than one answer, monic_degenerate) -> number of quartics
+        counts = dict.fromkeys([(False, False), (False, True), (True, False), (True, True)], 0)
+        for f in quartics:
+            got = invert_groebner(sequence(f, 5), 4, True)
+            assert f in got
+            counts[len(got) > 1, monic_degenerate(f)] += 1
+            # r_m obeys a recurrence of order at most 2^4, so two quartics
+            # that share r_1..r_32 share every r_m (Hillar and Levine)
+            prefix = sequence(f, 2**4 + 2**4)
+            assert all(reproduces(g, prefix) for g in got)
+        # never (True, False): a second answer needs a root subset with
+        # product 1; the (False, True) quartic is the odd subset below
+        assert counts == {(False, False): 36, (False, True): 1, (True, False): 0, (True, True): 4}
+
+    def test_an_odd_subset_with_product_one_negates_the_sequence(self):
+        # the one degenerate quartic above with a single answer: the roots
+        # of x^3+x^2+x-1 multiply to 1, and inverting an odd number of roots
+        # flips the sign of every r_m, so the flipped quartic answers -r_m
+        f = parse("x+7") * parse("x^3+x^2+x-1")
+        flipped = parse("x+7") * parse("x^3-x^2-x-1")
+        assert monic_degenerate(f)
+        assert invert_groebner(sequence(f, 5), 4, True) == [f]
+        negated = [-v for v in sequence(f, 2**4 + 2**4).values]
+        assert reproduces(flipped, negated)
+        assert invert_groebner(negated[:5], 4, True) == [flipped]
+
+    @pytest.mark.parametrize(
+        "roots", [(2, -3, 4, 5), (-2, 3, 4, 5), (-2, -3, -4, -5)]
+    )
+    def test_newton_declines_are_answered_exactly(self, roots):
+        # root sets that the 16-restart Newton search does not converge on
+        f = Polynomial.from_roots([G(r) for r in roots])
+        spec = ReconstructionSpec(degree=4, shape="monic", values=sequence(f, 5))
+        outcome = reconstruct(spec)
+        assert outcome.method == "groebner" and outcome.verified
+        assert outcome.polynomial == f
+
+
+class TestGroebnerLimit:
+    """Every reader of the Groebner degree limit admits the same degrees."""
+
+    LIMITS = {"monic": 4, "monic-reciprocal": 4, "general": 3}
+
+    class Routed(Exception):
+        pass
+
+    def routed(self, name):
+        def spy(*args, **kwargs):
+            raise self.Routed(name)
+
+        return spy
+
+    @pytest.mark.parametrize("shape", sorted(LIMITS))
+    def test_one_limit_per_shape(self, shape, monkeypatch):
+        rec = sys.modules["cycres.reconstruct"]
+
+        limit = self.LIMITS[shape]
+        monic = shape != "general"
+        values = ResultantSequence(tuple(G(m) for m in range(1, 8)))
+        for d in range(1, 7):
+            spec = ReconstructionSpec(degree=d, shape=shape, values=values)
+            assert ROUTES["groebner"][0](spec) == (d <= limit)
+
+            # the guard runs before the basis is built
+            monkeypatch.setattr(rec, "groebner_basis", self.routed("basis"))
+            if d <= limit:
+                with pytest.raises(self.Routed):
+                    invert_groebner(values, d, monic)
+            else:
+                with pytest.raises(DegreeGuardError) as info:
+                    invert_groebner(values, d, monic)
+                assert info.value.context == {"degree": d, "limit": limit}
+            monkeypatch.undo()
+
+            monkeypatch.setattr(rec, "invert_groebner", self.routed("groebner"))
+            monkeypatch.setattr(rec, "invert_newton", self.routed("newton"))
+            with pytest.raises(self.Routed) as info:
+                _exact_answers(values, d, monic)
+            assert str(info.value) == ("groebner" if d <= limit else "newton")
+            monkeypatch.undo()
+
+            if shape == "monic":  # the harness samples monic polynomials only
+                if d <= limit:
+                    assert conjecture_harness(d, 0).trials == 0
+                else:
+                    with pytest.raises(DegreeGuardError) as info:
+                        conjecture_harness(d, 0)
+                    assert info.value.context == {"degree": d, "limit": limit}
 
 
 class TestNewtonRoute:
@@ -337,11 +450,11 @@ class TestDispatch:
         assert info.value.context["expected"] == ["2", "24", "999"]
         assert info.value.context["got"] == ["2", "24", "182"]
 
-    def test_auto_answers_a_quartic_by_newton(self):
+    def test_auto_answers_a_quintic_by_newton(self):
         from cycres.reconstruct import reconstruct
 
-        f = parse("x^4-3*x^3+5*x-7")
-        outcome = reconstruct(self.spec(4, sequence(f, 5)))
+        f = parse("x^5-3*x^3+5*x-7")
+        outcome = reconstruct(self.spec(5, sequence(f, 6)))
         assert outcome.method == "newton" and outcome.verified
         assert outcome.polynomial == f
 
@@ -355,9 +468,12 @@ class TestDispatch:
     def test_explicit_groebner_above_its_degree_limit(self):
         from cycres.reconstruct import reconstruct
 
-        f = parse("x^4-3*x^3+5*x-7")
+        f = parse("x^5-3*x^3+5*x-7")
         with pytest.raises(DegreeGuardError):
-            reconstruct(self.spec(4, sequence(f, 5), method="groebner"))
+            reconstruct(self.spec(5, sequence(f, 6), method="groebner"))
+        f = parse("2*x^4-3*x^3+5*x-7")
+        with pytest.raises(DegreeGuardError):
+            reconstruct(self.spec(4, sequence(f, 5), method="groebner", shape="general"))
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

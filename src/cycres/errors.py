@@ -63,9 +63,14 @@ class ConvergenceError(CycResError):
 
 
 class NoSolutionError(CycResError):
-    """The reconstruction ideal is the unit ideal: no polynomial fits."""
+    """No polynomial fits the given resultant values."""
 
     code = "no_solution"
+
+
+class UnitIdealError(NoSolutionError):
+    """Groebner proved the defining equations inconsistent: no polynomial of
+    any kind fits, so no other route needs to try."""
 
 
 class UnderdeterminedError(CycResError):

@@ -7,15 +7,18 @@ Three routes, in increasing generality:
 * a lexicographic Groebner basis of the system { r_m - Res(f, x^m - 1) } with
   symbolic coefficients, solved by back substitution (monic degree <= 4,
   general degree <= 3: groebner_degree_limit);
-* a damped Gauss-Newton iteration on the numeric root-product map, with
-  continued-fraction rationalization and exact verification.
+* a damped Gauss-Newton iteration on the float map coefficients -> r_m, each
+  r_m a product of f over the m-th roots of unity, with continued-fraction
+  rationalization and exact verification.
 
 Every successful answer has reproduced the input values exactly; a numeric
 candidate that fails rationalization is handed back unverified and flagged.
 """
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 import random
 from dataclasses import dataclass
 
@@ -26,6 +29,7 @@ from .errors import (
     DegreeGuardError,
     NoSolutionError,
     PreconditionError,
+    UnitIdealError,
     VerificationError,
     ZeroResultantError,
 )
@@ -40,7 +44,6 @@ from .groebner import (
 from .polycore import (
     RATIONALIZE_DENOMINATOR_BOUND,
     Polynomial,
-    _aberth,
     has_root_of_unity,
     rationalize,
 )
@@ -256,10 +259,11 @@ def invert_groebner(values, d: int, monic: bool = True) -> list[Polynomial]:
 
     Builds the ideal of the defining equations with symbolic coefficients,
     takes its lex Groebner basis, and back-substitutes.  The unit ideal
-    raises NoSolutionError, which is the working signal for the wrong branch
-    of an absolute-value lift.  At most the first five values feed the ideal
-    (desk-scale guard); every solution is still verified against the full
-    input, so extra values tighten the answer without growing the system.
+    raises UnitIdealError (a NoSolutionError), which is the working signal
+    for the wrong branch of an absolute-value lift.  At most the first five
+    values feed the ideal (desk-scale guard); every solution is still
+    verified against the full input, so extra values tighten the answer
+    without growing the system.
     """
     limit = groebner_degree_limit(monic)
     if d > limit:
@@ -272,7 +276,7 @@ def invert_groebner(values, d: int, monic: bool = True) -> list[Polynomial]:
     ]
     basis = groebner_basis(gens)
     if is_unit_ideal(basis):
-        raise NoSolutionError(
+        raise UnitIdealError(
             "the system has no solution (unit ideal)", degree=d, monic=monic
         )
     out = []
@@ -304,19 +308,29 @@ class NewtonResult:
 
 
 def _float_resultants(asc: list[float], count: int) -> list[float] | None:
+    """r_1..r_count of the float polynomial asc, or None when its leading
+    coefficient is (near) zero or a value overflows.
+
+    r_m = Res(f, x^m - 1) = (-1)^(dm) * prod over zeta^m = 1 of f(zeta), with
+    f evaluated by Horner at the m-th roots of unity: no roots of f needed.
+    """
     if abs(asc[-1]) < 1e-12:
         return None
-    try:
-        roots = _aberth([complex(c) for c in asc])
-    except Exception:
-        return None
-    lead = asc[-1]
+    d = len(asc) - 1
+    desc = asc[::-1]
     out = []
     for m in range(1, count + 1):
-        value = complex(lead) ** m
-        for alpha in roots:
-            value *= alpha**m - 1
-        out.append(value.real)
+        value = complex(1.0)
+        for k in range(m):
+            zeta = cmath.exp(2j * math.pi * k / m)
+            f_zeta = 0j
+            for c in desc:
+                f_zeta = f_zeta * zeta + c
+            value *= f_zeta
+        real = -value.real if d * m % 2 else value.real
+        if not math.isfinite(real):
+            return None
+        out.append(real)
     return out
 
 
@@ -358,6 +372,11 @@ def invert_newton(
     seed: int = DEFAULT_SEED,
 ) -> NewtonResult:
     """Damped Gauss-Newton on the coefficient -> resultant-prefix map.
+
+    The residual evaluates each r_m as a product of f over the m-th roots of
+    unity (_float_resultants), with no root finding.  An iterate whose values
+    overflow has no residual: the start, Jacobian or damped trial that needed
+    it is dropped.
 
     Multi-start from deterministic pseudo-random points; the Jacobian comes
     from central finite differences with relative step 1e-6.  A converged
@@ -617,7 +636,7 @@ def reconstruct(
     """Route a reconstruction request; AUTO falls through closed form,
     Groebner (up to groebner_degree_limit: monic degree 4, general degree 3),
     then the numeric solver, and raises the first route's failure when none
-    answers."""
+    answers.  A unit ideal proves that nothing fits, so AUTO stops there."""
     if spec.method == AUTO:
         methods = [m for m, (applies, _) in ROUTES.items() if applies(spec)]
     else:
@@ -628,6 +647,8 @@ def reconstruct(
             polynomial, verified, fields = ROUTES[method][1](spec, restarts, seed)
         except CycResError as exc:
             first_failure = first_failure or exc
+            if isinstance(exc, UnitIdealError):
+                break
             continue
         return ReconstructionOutcome(polynomial, method, verified, **fields)
     raise first_failure

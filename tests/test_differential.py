@@ -1,6 +1,6 @@
 """Differential tests against sympy: the sequence kernel, the Sylvester
 resultant, the Bareiss determinant and the characteristic polynomial, on
-random exact inputs.
+random exact inputs; and Newton's float resultants against the exact kernel.
 
 sympy 1.14's resultant(f, g) returns the negative of its own Sylvester
 determinant when deg f < deg g and deg f * deg g is odd (e.g. x - 2 against
@@ -16,7 +16,8 @@ import pytest
 from cycres.dynamics import IntegerMatrix, char_poly
 from cycres.gaussian import GaussianInteger
 from cycres.gaussian import GaussianRational as G
-from cycres.polycore import Polynomial
+from cycres.polycore import Polynomial, has_root_of_unity
+from cycres.reconstruct import _float_resultants
 from cycres.resultants import COMPANION_CROSS_CHECK_LIMIT, _det_bareiss, resultant, sequence
 
 sympy = pytest.importorskip("sympy")
@@ -143,3 +144,25 @@ def test_resultant_with_a_constant_or_mixed_pairs_matches_sympy():
         g = random_poly(rng, rng.randint(0, 4), not gaussian)
         assert resultant(f, g) == sympy_resultant(f, g), (f, g)
         assert resultant(g, f) == sympy_resultant(g, f), (g, f)
+
+
+@pytest.mark.parametrize("monic", [True, False], ids=["monic", "nonmonic"])
+def test_float_resultants_match_the_exact_sequence(monic):
+    rng = random.Random(95 + monic)
+    for d in range(1, 9):
+        for _ in range(6):
+            while True:
+                lead = 1 if monic else rng.choice([-1, 1]) * rng.randint(2, 9)
+                asc = [rng.randint(-9, 9) for _ in range(d)] + [lead]
+                if not has_root_of_unity(Polynomial(asc)):
+                    break
+            exact = sequence(Polynomial(asc), d + 2)
+            got = _float_resultants([float(c) for c in asc], d + 2)
+            for m, value in enumerate(got, start=1):
+                expected = float(exact[m].re)
+                assert abs(value - expected) <= 1e-9 * abs(expected), (asc, m)
+
+
+def test_float_resultants_overflow_to_none():
+    assert _float_resultants([5e200, -3e200, 2e200], 4) is None
+    assert _float_resultants([5.0, 1e200, 1.0, 1e200], 6) is None

@@ -389,6 +389,28 @@ class TestNewtonRoute:
                 assert result.polynomial == invert_closed(vals, 2, "monic")
                 done += 1
 
+    @pytest.mark.parametrize("roots", [(2, -3, 4, -5, 6), (2, -2, -3, 4, -5, 6)])
+    def test_monic_above_the_groebner_limit(self, roots):
+        f = Polynomial.from_roots(roots)
+        result = invert_newton(sequence(f, f.degree + 1), f.degree, True)
+        assert result.verified and result.polynomial == f
+
+    def test_general_quartic(self):
+        f = Polynomial.from_roots((-5, -4, -2, -8), lead=5)
+        result = invert_newton(sequence(f, 6), 4, False)
+        assert result.verified and result.polynomial == f
+
+    def test_auto_stops_at_a_unit_ideal(self, monkeypatch):
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Newton ran after a unit ideal")
+
+        monkeypatch.setattr(sys.modules["cycres.reconstruct"], "invert_newton", no_newton)
+        values = ResultantSequence(tuple(G(v) for v in (1, 2, 3, 4, 5)))
+        spec = ReconstructionSpec(degree=4, shape="monic", values=values)
+        with pytest.raises(NoSolutionError) as info:
+            reconstruct(spec)
+        assert info.value.code == "no_solution"
+
 
 class TestDisambiguation:
     def test_negative_base_sign_branch(self):
